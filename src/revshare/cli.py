@@ -28,11 +28,12 @@ from .model import (
     InfeasibleBargainError,
     InfeasibleEffortError,
     ScenarioKind,
+    pin_cost,
 )
 
 __all__ = ["RunSpec", "SweepAxis", "UsageError", "parse_args", "run", "main"]
 
-_SOLVE_SCENARIOS = tuple(kind.value for kind in ScenarioKind)
+_SOLVE_SCENARIOS = tuple(kind.value for kind in closed_form.SOLVERS)
 _COMPARE_SCENARIOS = ("compare-public-private", "compare-coop-comp", "n-scaling")
 _SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
 
@@ -235,12 +236,12 @@ def parse_args(argv: list[str]) -> RunSpec:
 # deterministic rendering
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         if value == 0.0:
             value = 0.0  # normalize -0.0
         return format(value, ".12g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is None:
         return ""
     return str(value)
@@ -261,64 +262,58 @@ def _json_text(value, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in value)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, float):
+    if isinstance(value, (bool, int, float)):
         return _fmt(value)
-    if isinstance(value, int):
-        return str(value)
     return json.dumps(str(value))
 
 
-def _flatten(value, prefix: str = "") -> list[tuple[str, object]]:
-    rows: list[tuple[str, object]] = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            key = f"{prefix}.{k}" if prefix else str(k)
-            rows.extend(_flatten(v, key))
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value, start=1):
-            rows.extend(_flatten(v, f"{prefix}.{i}"))
-    else:
-        rows.append((prefix, value))
+def _flatten(value, prefix: str = "", into: list | None = None) -> list[tuple[str, object]]:
+    """(dotted key, leaf) pairs of a nested dict; list items count from 1."""
+    rows = [] if into is None else into
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value, start=1):
+        key = f"{prefix}.{k}" if prefix else str(k)
+        if isinstance(v, (dict, list, tuple)):
+            _flatten(v, key, rows)
+        else:
+            rows.append((key, v))
     return rows
 
 
-def _render(payload, fmt: str, rows: list[dict] | None = None) -> str:
-    """Render a payload (or sweep rows) in the requested format."""
+def _flat_table(rows: list[dict]) -> tuple[tuple, list[tuple[tuple, tuple]]]:
+    """Flatten each row once into (keys, values), rows of one shape sharing a key
+    tuple; the header is the union of row keys in first-appearance order."""
+    shapes: dict[tuple, tuple] = {}
+    flats = []
+    for row in rows:
+        keys, values = zip(*_flatten(row))
+        flats.append((shapes.setdefault(keys, keys), values))
+    return tuple(dict.fromkeys(key for keys in shapes for key in keys)), flats
+
+
+def _aligned(header: tuple, keys: tuple, values: tuple) -> tuple:
+    """A flattened row's values in header order, None where it lacks a key."""
+    return values if keys == header else tuple(map(dict(zip(keys, values)).get, header))
+
+
+def _render(payload, fmt: str, table: tuple | None = None) -> str:
+    """Render one payload, or a sweep's list of payloads, in the requested
+    format. ``table`` is the sweep's ``_flat_table`` when the caller has it."""
     if fmt == "json":
         return _json_text(payload) + "\n"
-    if rows is None:
-        flat = _flatten(payload)
-        if fmt == "csv":
-            header = ",".join(key for key, _ in flat)
-            line = ",".join(_fmt(v) for _, v in flat)
-            return header + "\n" + line + "\n"
-        width = max(len(key) for key, _ in flat)
-        return "".join(f"{key.ljust(width)}  {_fmt(v)}\n" for key, v in flat)
-    # one row per sweep point; the header is the union of row keys in
-    # first-appearance order (degeneracy can drop optional fields)
-    keys: list[str] = []
-    seen = set()
-    for row in rows:
-        for key, _ in _flatten(row):
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
+    sweep = isinstance(payload, list)
+    header, flats = table or _flat_table(payload if sweep else [payload])
     if fmt == "csv":
-        lines = [",".join(keys)]
-        for row in rows:
-            values = dict(_flatten(row))
-            lines.append(",".join(_fmt(values.get(key)) for key in keys))
+        lines = [",".join(header)]
+        lines.extend(",".join(map(_fmt, _aligned(header, *flat))) for flat in flats)
         return "\n".join(lines) + "\n"
-    width = max(len(k) for k in keys)
+    width = max(len(key) for key in header)
     chunks = []
-    for i, row in enumerate(rows):
-        chunks.append(f"# point {i + 1}\n")
-        for key, v in _flatten(row):
-            chunks.append(f"{key.ljust(width)}  {_fmt(v)}\n")
+    for i, (keys, values) in enumerate(flats, start=1):
+        if sweep:
+            chunks.append(f"# point {i}\n")
+        chunks.extend(f"{key.ljust(width)}  {_fmt(v)}\n" for key, v in zip(keys, values))
     return "".join(chunks)
 
 
@@ -429,57 +424,27 @@ def _two_costs(spec: RunSpec) -> tuple[float, float]:
     return spec.costs[0], spec.costs[1]
 
 
-def _solve_payload(spec: RunSpec) -> dict:
-    scenario = spec.scenario
+def _payload_for(spec: RunSpec) -> dict:
+    if spec.scenario in _COMPARE_SCENARIOS:
+        return _report_payload(spec)
+    kind = ScenarioKind(spec.scenario)
     params = _params_payload(spec)
-    if scenario == ScenarioKind.SYMMETRIC_COMPETITIVE.value:
-        c, n = _symmetric_args(spec)
+    if kind in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
+        c1, n = _symmetric_args(spec)
+        c2 = c1
         params["n"] = n
-        outcome = closed_form.solve_symmetric_competitive(spec.r, c, n)
-    elif scenario == ScenarioKind.SYMMETRIC_COOPERATIVE.value:
-        c, n = _symmetric_args(spec)
-        params["n"] = n
-        outcome = closed_form.solve_symmetric_cooperative(spec.r, c, n)
-    elif scenario == ScenarioKind.PUBLIC_PRIVATE.value:
-        c1, c2 = _two_costs(spec)
-        outcome = closed_form.solve_public_private(spec.r, c1, c2)
-    elif scenario == ScenarioKind.PUBLIC_PRIVATE_REGULATED.value:
-        c1, c2 = _two_costs(spec)
-        outcome = closed_form.solve_public_private_regulated(spec.r, c1, c2, spec.a1_bar)
-    elif scenario == ScenarioKind.ASYMMETRIC_COMPETITIVE.value:
-        c1, c2 = _two_costs(spec)
-        continuum = closed_form.solve_asymmetric_competitive(spec.r, c1, c2)
-        outcome = continuum.outcome_at(continuum.split_parameter)
-    elif scenario == ScenarioKind.REGULATED_COMPETITIVE.value:
-        c1, c2 = _two_costs(spec)
-        outcome = closed_form.solve_regulated_competitive(spec.r, c1, c2)
-    elif scenario == ScenarioKind.REGULATED_COOPERATIVE.value:
-        c1, c2 = _two_costs(spec)
-        if spec.branch is None:
-            branch, outcome = closed_form.solve_regulated_cooperative_cp_preferred(
-                spec.r, c1, c2)
-            params["branch"] = branch.value
-        else:
-            outcome = closed_form.solve_regulated_cooperative(spec.r, c1, c2, spec.branch)
-    elif scenario == ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE.value:
-        c1, c2 = _two_costs(spec)
-        outcome = closed_form.solve_fixed_public_effort_coop(spec.r, c1, c2, spec.a1_bar)
-    elif scenario in (ScenarioKind.MULTI_CP_COMPETITIVE.value,
-                      ScenarioKind.MULTI_CP_COOPERATIVE.value):
-        c1, c2 = _two_costs(spec)
-        if spec.r2 is None:
-            raise UsageError("two-CP scenarios need --r2")
-        mode = ScenarioKind(scenario)
-        branch = spec.branch
-        if mode is ScenarioKind.MULTI_CP_COOPERATIVE and branch is None:
-            branch = Branch.ISP1
-            params["branch"] = branch.value
-        outcomes = closed_form.solve_multi_cp(spec.r, spec.r2, c1, c2, mode, branch)
-        return {"scenario": scenario, "params": params,
-                "per_cp": [_outcome_body(o) for o in outcomes]}
     else:
-        raise UsageError(f"scenario {scenario!r} is not solvable; use compare")
-    return {"scenario": scenario, "params": params, **_outcome_body(outcome)}
+        (c1, c2), n = _two_costs(spec), spec.n
+        if spec.r2 is None and kind in (ScenarioKind.MULTI_CP_COMPETITIVE,
+                                        ScenarioKind.MULTI_CP_COOPERATIVE):
+            raise UsageError("two-CP scenarios need --r2")
+    branch, solved = closed_form.SOLVERS[kind](
+        r=spec.r, c1=c1, c2=c2, n=n, a1_bar=spec.a1_bar, r2=spec.r2, branch=spec.branch)
+    params["branch"] = branch.value if branch else None
+    if isinstance(solved, list):
+        return {"scenario": spec.scenario, "params": params,
+                "per_cp": [_outcome_body(o) for o in solved]}
+    return {"scenario": spec.scenario, "params": params, **_outcome_body(solved)}
 
 
 def _report_payload(spec: RunSpec) -> dict:
@@ -491,13 +456,11 @@ def _report_payload(spec: RunSpec) -> dict:
     elif scenario == "compare-coop-comp":
         c1, c2 = _two_costs(spec)
         report = compare_coop_comp(spec.r, c1, c2, spec.disagreement)
-    elif scenario == "n-scaling":
+    else:
         c = spec.costs[0]
         n_max = spec.n if spec.n is not None else 10
         report = n_scaling_report(spec.r, c, list(range(1, n_max + 1)))
         params["n"] = n_max
-    else:
-        raise UsageError(f"scenario {scenario!r} is not a comparison")
     return {
         "comparison": scenario,
         "params": params,
@@ -508,12 +471,6 @@ def _report_payload(spec: RunSpec) -> dict:
         ],
         "all_hold": report.all_hold,
     }
-
-
-def _payload_for(spec: RunSpec) -> dict:
-    if spec.scenario in _COMPARE_SCENARIOS:
-        return _report_payload(spec)
-    return _solve_payload(spec)
 
 
 def _sweep_values(axis: SweepAxis) -> list[float]:
@@ -565,22 +522,15 @@ def _run_solve(spec: RunSpec) -> int:
 def _run_sweep(spec: RunSpec) -> int:
     axis = spec.sweep_axis
     values = _sweep_values(axis)
-    rows = []
-    for value in values:
-        point = _spec_with(spec, axis.param, value)
-        rows.append(_payload_for(point))
-    _emit(spec, _render(None, spec.output_format, rows=rows))
+    rows = [_payload_for(_spec_with(spec, axis.param, value)) for value in values]
+    table = _flat_table(rows) if spec.plot or spec.output_format != "json" else None
+    _emit(spec, _render(rows, spec.output_format, table))
     if spec.plot:
-        flat_rows = [dict(_flatten(row)) for row in rows]
-        keys: list[str] = []
-        for flat in flat_rows:
-            keys.extend(k for k in flat if k not in keys)
-        series: dict[str, list[float]] = {}
-        for key in keys:
-            column = [row.get(key) for row in flat_rows]
-            if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in column):
-                series[key] = [float(v) for v in column]
+        header, flats = table
+        columns = zip(*(_aligned(header, *flat) for flat in flats))
+        series = {key: [float(v) for v in column] for key, column in zip(header, columns)
+                  if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in column)}
         _write_svg(spec.plot, axis.param, values, series)
     return 0
 
@@ -625,16 +575,11 @@ def _run_shapley(spec: RunSpec) -> int:
 
 def _run_nbs(spec: RunSpec) -> int:
     c1, c2 = _two_costs(spec)
-    if spec.branch is None:
-        branch, outcome = closed_form.solve_regulated_cooperative_cp_preferred(
-            spec.r, c1, c2)
-    else:
-        branch = spec.branch
-        outcome = closed_form.solve_regulated_cooperative(spec.r, c1, c2, branch)
+    kind = ScenarioKind.REGULATED_COOPERATIVE
+    branch, outcome = closed_form.SOLVERS[kind](r=spec.r, c1=c1, c2=c2, branch=spec.branch)
     if outcome.degenerate:
         raise DegenerateRegimeError("regulated cooperative solve is degenerate")
     d1, d2 = disagreement_point(spec.disagreement, spec.r, c1, c2)
-    branch_cost = c1 if branch is Branch.ISP1 else c2
     a1, a2 = outcome.efforts.efforts
     payload = {
         "params": {"r": spec.r, "costs": [c1, c2], "branch": branch.value,
@@ -647,7 +592,7 @@ def _run_nbs(spec: RunSpec) -> int:
         },
     }
     split = nbs_split_closed(outcome.contract.joint_share, a1, a2, d1, d2,
-                             spec.r, c1, c2, branch_cost)
+                             spec.r, c1, c2, pin_cost(kind, (c1, c2), branch))
     payload["split"] = {
         "beta1": split.beta1,
         "beta2": split.beta2,

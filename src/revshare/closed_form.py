@@ -3,8 +3,8 @@
 Every scenario with an explicit W-based equilibrium formula is solved here.
 Conventions shared by all solvers:
 
-* Degenerate regimes (r at or below the scenario's cost threshold) return an
-  explicit zero outcome flagged ``degenerate=True`` instead of raising, so
+* Degenerate regimes (r at or below the scenario's ``model.pin_cost``) return
+  an explicit zero outcome flagged ``degenerate=True`` instead of raising, so
   parameter sweeps never abort.
 * ``foc_residual`` is the largest absolute violation of the scenario's
   leader and follower first-order conditions at the returned point.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .lambertw import lambert_w0
 from .model import (
@@ -24,9 +25,11 @@ from .model import (
     EquilibriumOutcome,
     InfeasibleEffortError,
     ScenarioKind,
+    pin_cost,
 )
 
 __all__ = [
+    "SOLVERS",
     "ContinuumEquilibrium",
     "solve_public_private",
     "solve_public_private_regulated",
@@ -91,13 +94,14 @@ def solve_public_private(r: float, c1: float, c2: float) -> EquilibriumOutcome:
     Degenerate for r <= c2.
     """
     _require_positive(r=r, c1=c1, c2=c2)
-    if r <= c2:
+    k = pin_cost(ScenarioKind.PUBLIC_PRIVATE, (c1, c2))
+    if r <= k:
         return _zero_outcome(2)
-    w = lambert_w0(r * E / c2)
+    w = lambert_w0(r * E / k)
     beta2 = 1.0 / w
-    a2 = r / (c2 * w) - 1.0
-    leader = abs(math.log(beta2 * r / c2) - (1.0 - beta2) / beta2)
-    follower = abs(beta2 * r / (a2 + 1.0) - c2)
+    a2 = r / (k * w) - 1.0
+    leader = abs(math.log(beta2 * r / k) - (1.0 - beta2) / beta2)
+    follower = abs(beta2 * r / (a2 + 1.0) - k)
     return _outcome(r, (c1, c2), (0.0, beta2), (0.0, a2), max(leader, follower))
 
 
@@ -113,25 +117,26 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
     _require_positive(r=r, c1=c1, c2=c2)
     if a1_bar < 0.0:
         raise ValueError(f"imposed public effort must be non-negative, got {a1_bar!r}")
-    if r <= c2:
+    k = pin_cost(ScenarioKind.PUBLIC_PRIVATE_REGULATED, (c1, c2))
+    if r <= k:
         return _zero_outcome(2)
-    w = lambert_w0(r * E / c2)
+    w = lambert_w0(r * E / k)
     beta2 = 1.0 / w
-    a2 = r / (c2 * w) - a1_bar - 1.0
+    a2 = r / (k * w) - a1_bar - 1.0
     if a2 < -1e-12:
         raise InfeasibleEffortError(
             f"a1_bar={a1_bar!r} exceeds the total effort budget "
-            f"{r / (c2 * w) - 1.0:.6g}; private effort would be negative"
+            f"{r / (k * w) - 1.0:.6g}; private effort would be negative"
         )
     a2 = max(a2, 0.0)
-    log_ratio = math.log(beta2 * r / c2)
+    log_ratio = math.log(beta2 * r / k)
     beta1 = a1_bar * c1 / (r * log_ratio)
     if beta1 + beta2 > 1.0 + 1e-12:
         raise InfeasibleEffortError(
             "break-even share for the public ISP pushes the total share above one"
         )
-    leader = abs(math.log(beta2 * r / c2) - (1.0 - beta2) / beta2)
-    follower = abs(beta2 * r / (a1_bar + a2 + 1.0) - c2)
+    leader = abs(log_ratio - (1.0 - beta2) / beta2)
+    follower = abs(beta2 * r / (a1_bar + a2 + 1.0) - k)
     return _outcome(r, (c1, c2), (beta1, beta2), (a1_bar, a2), max(leader, follower))
 
 
@@ -145,9 +150,10 @@ def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcom
     _require_positive(r=r, c=c)
     if n < 1:
         raise ValueError(f"need at least one ISP, got n={n!r}")
-    if r <= c:
+    k = pin_cost(ScenarioKind.SYMMETRIC_COMPETITIVE, (c,))
+    if r <= k:
         return _zero_outcome(n)
-    w = lambert_w0(r * E / c)
+    w = lambert_w0(r * E / k)
     beta = 1.0 / (n * w)
     a = beta * r / c - 1.0 / n
     total = n * a
@@ -167,9 +173,10 @@ def solve_symmetric_cooperative(r: float, c: float, n: int) -> EquilibriumOutcom
     _require_positive(r=r, c=c)
     if n < 1:
         raise ValueError(f"need at least one ISP, got n={n!r}")
-    if r <= c:
+    k = pin_cost(ScenarioKind.SYMMETRIC_COOPERATIVE, (c,))
+    if r <= k:
         return _zero_outcome(n, joint=True)
-    w = lambert_w0(r * E / c)
+    w = lambert_w0(r * E / k)
     beta = 1.0 / w
     a = (beta * r / c - 1.0) / n
     total = n * a
@@ -226,7 +233,7 @@ def solve_asymmetric_competitive(r: float, c1: float, c2: float) -> ContinuumEqu
     with total effort r/((c1+c2)*W) - 1. Degenerate for r <= c1+c2.
     """
     _require_positive(r=r, c1=c1, c2=c2)
-    k = c1 + c2
+    k = pin_cost(ScenarioKind.ASYMMETRIC_COMPETITIVE, (c1, c2))
     if r <= k:
         return ContinuumEquilibrium(
             r=r, c1=c1, c2=c2, total_effort=0.0,
@@ -265,7 +272,7 @@ def solve_regulated_cooperative(r: float, c1: float, c2: float,
     branches are stationary; use the CP-preferred wrapper to pick one.
     """
     _require_positive(r=r, c1=c1, c2=c2)
-    cb = c1 if branch is Branch.ISP1 else c2
+    cb = pin_cost(ScenarioKind.REGULATED_COOPERATIVE, (c1, c2), branch)
     if r <= cb:
         return _zero_outcome(2, joint=True)
     k = c1 + c2
@@ -289,12 +296,9 @@ def solve_regulated_cooperative_cp_preferred(
     The cheaper-cost branch wins because x/W(x) is increasing, so the raw
     per-branch solver remains available for the dominated branch.
     """
-    best: tuple[Branch, EquilibriumOutcome] | None = None
-    for branch in (Branch.ISP1, Branch.ISP2):
-        outcome = solve_regulated_cooperative(r, c1, c2, branch)
-        if best is None or outcome.cp_utility > best[1].cp_utility:
-            best = (branch, outcome)
-    return best
+    outcomes = {branch: solve_regulated_cooperative(r, c1, c2, branch) for branch in Branch}
+    best = max(outcomes, key=lambda branch: outcomes[branch].cp_utility)  # ISP1 on a tie
+    return best, outcomes[best]
 
 
 def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
@@ -309,11 +313,12 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
     _require_positive(r=r, c1=c1, c2=c2)
     if a1_bar < 0.0:
         raise ValueError(f"fixed public effort must be non-negative, got {a1_bar!r}")
-    if r <= c2:
+    k = pin_cost(ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE, (c1, c2))
+    if r <= k:
         return _zero_outcome(2, joint=True)
-    w = lambert_w0(r * E / c2)
+    w = lambert_w0(r * E / k)
     beta = 1.0 / w
-    total = r / (c2 * w) - 1.0
+    total = r / (k * w) - 1.0
     a2 = total - a1_bar
     if a2 < -1e-12:
         raise InfeasibleEffortError(
@@ -321,8 +326,8 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
         )
     a2 = max(a2, 0.0)
     shares = (beta * a1_bar / total, beta * a2 / total)
-    leader = abs(math.log(beta * r / c2) - (1.0 - beta) / beta)
-    follower = abs(beta * r / (total + 1.0) - c2)
+    leader = abs(math.log(beta * r / k) - (1.0 - beta) / beta)
+    follower = abs(beta * r / (total + 1.0) - k)
     competitive_total = solve_public_private(r, c1, c2).total_effort
     return _outcome(
         r, (c1, c2), shares, (a1_bar, a2), max(leader, follower), joint_share=beta,
@@ -348,6 +353,36 @@ def solve_multi_cp(r1: float, r2: float, c1: float, c2: float,
             raise ValueError("cooperative two-CP solve needs a branch")
         return [solve_regulated_cooperative(rj, c1, c2, branch) for rj in (r1, r2)]
     raise ValueError(f"mode must be one of the two-CP scenarios, got {mode!r}")
+
+
+# Each scenario's solve call. Entries take the market as keywords (r, c1,
+# c2, n, a1_bar, r2, branch; symmetric scenarios read their cost from c1)
+# and return (branch solved on, outcome), a per-CP list for two CPs. With
+# no branch, regulated-cooperative takes the CP-preferred one, two CPs ISP1.
+SOLVERS: dict[ScenarioKind, Callable[..., tuple]] = {
+    ScenarioKind.PUBLIC_PRIVATE: lambda r, c1, c2, branch, **_: (
+        branch, solve_public_private(r, c1, c2)),
+    ScenarioKind.PUBLIC_PRIVATE_REGULATED: lambda r, c1, c2, a1_bar, branch, **_: (
+        branch, solve_public_private_regulated(r, c1, c2, a1_bar)),
+    ScenarioKind.SYMMETRIC_COMPETITIVE: lambda r, c1, n, branch, **_: (
+        branch, solve_symmetric_competitive(r, c1, n)),
+    ScenarioKind.SYMMETRIC_COOPERATIVE: lambda r, c1, n, branch, **_: (
+        branch, solve_symmetric_cooperative(r, c1, n)),
+    # asymmetric-competitive reports the continuum's canonical (regulated) point
+    **dict.fromkeys(
+        (ScenarioKind.ASYMMETRIC_COMPETITIVE, ScenarioKind.REGULATED_COMPETITIVE),
+        lambda r, c1, c2, branch, **_: (branch, solve_regulated_competitive(r, c1, c2))),
+    ScenarioKind.REGULATED_COOPERATIVE: lambda r, c1, c2, branch, **_: (
+        solve_regulated_cooperative_cp_preferred(r, c1, c2) if branch is None
+        else (branch, solve_regulated_cooperative(r, c1, c2, branch))),
+    ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE: lambda r, c1, c2, a1_bar, branch, **_: (
+        branch, solve_fixed_public_effort_coop(r, c1, c2, a1_bar)),
+    ScenarioKind.MULTI_CP_COMPETITIVE: lambda r, c1, c2, r2, branch, **_: (
+        branch, solve_multi_cp(r, r2, c1, c2, ScenarioKind.MULTI_CP_COMPETITIVE)),
+    ScenarioKind.MULTI_CP_COOPERATIVE: lambda r, c1, c2, r2, branch, **_: (
+        branch or Branch.ISP1, solve_multi_cp(r, r2, c1, c2, ScenarioKind.MULTI_CP_COOPERATIVE,
+                                              branch or Branch.ISP1)),
+}
 
 
 def boundary_case_cp_utility(r: float, c1: float, c2: float, multiplier: float) -> float:

@@ -17,7 +17,7 @@ from .closed_form import (
     solve_regulated_cooperative_cp_preferred,
     solve_symmetric_competitive,
 )
-from .model import DegenerateRegimeError, DisagreementPolicy
+from .model import DegenerateRegimeError, DisagreementPolicy, ScenarioKind, pin_cost
 
 __all__ = ["Ordering", "ComparisonReport", "compare_public_private",
            "compare_coop_comp", "n_scaling_report"]
@@ -83,7 +83,7 @@ def compare_public_private(r: float, c1: float, c2: float) -> ComparisonReport:
     increasing: the private pair extracts a larger total share, while the
     public variant yields more total effort and a better-off CP.
     """
-    if r <= c1 + c2:
+    if r <= pin_cost(ScenarioKind.ASYMMETRIC_COMPETITIVE, (c1, c2)):
         raise DegenerateRegimeError(
             f"comparison needs r > c1 + c2; got r={r!r}, c1+c2={c1 + c2!r}"
         )
@@ -117,7 +117,7 @@ def compare_coop_comp(
     given disagreement policy (infeasible bargains propagate). Checks that
     cooperation raises total effort and CP utility.
     """
-    if r <= c1 + c2:
+    if r <= pin_cost(ScenarioKind.REGULATED_COMPETITIVE, (c1, c2)):
         raise DegenerateRegimeError(
             f"comparison needs r > c1 + c2; got r={r!r}, c1+c2={c1 + c2!r}"
         )

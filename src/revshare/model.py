@@ -27,6 +27,7 @@ __all__ = [
     "demand",
     "cp_utility",
     "isp_utility",
+    "pin_cost",
     "validate",
 ]
 
@@ -68,6 +69,37 @@ class ScenarioKind(str, Enum):
     FIXED_PUBLIC_EFFORT_COOPERATIVE = "fixed-public-effort-cooperative"
     MULTI_CP_COMPETITIVE = "multi-cp-competitive"
     MULTI_CP_COOPERATIVE = "multi-cp-cooperative"
+
+
+def _branch_cost(costs: tuple[float, ...], branch: Branch | None) -> float:
+    return costs[-1] if branch is Branch.ISP2 else costs[0]
+
+
+# Each scenario's degeneracy condition and pin cost (see pin_cost). With no
+# branch, regulated-cooperative pins on the cheaper ISP, its CP-preferred
+# branch, and multi-cp-cooperative on ISP1, its default branch.
+_PINS = {
+    **dict.fromkeys((ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE),
+                    ("r > c", lambda costs, branch: costs[0])),
+    **dict.fromkeys((ScenarioKind.PUBLIC_PRIVATE, ScenarioKind.PUBLIC_PRIVATE_REGULATED,
+                     ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE),
+                    ("r > c2", lambda costs, branch: costs[-1])),
+    **dict.fromkeys((ScenarioKind.ASYMMETRIC_COMPETITIVE, ScenarioKind.REGULATED_COMPETITIVE,
+                     ScenarioKind.MULTI_CP_COMPETITIVE),
+                    ("r > c1 + c2", lambda costs, branch: sum(costs))),
+    ScenarioKind.REGULATED_COOPERATIVE: (
+        "r > min(c1, c2)",
+        lambda costs, branch: min(costs) if branch is None else _branch_cost(costs, branch)),
+    ScenarioKind.MULTI_CP_COOPERATIVE: ("r > c1", _branch_cost),
+}
+
+
+def pin_cost(scenario: ScenarioKind, costs: tuple[float, ...],
+             branch: Branch | None = None) -> float:
+    """The cost c whose W(r*e/c) pins the scenario's equilibrium share; it
+    is also the degeneracy threshold, since r <= c leaves no profitable
+    effort. ``branch`` selects the pinning ISP in the two branch scenarios."""
+    return _PINS[scenario][1](costs, branch)
 
 
 @dataclass(frozen=True)
@@ -262,29 +294,6 @@ def isp_utility(params: MarketParams, i: int, contract: Contract, efforts: Effor
     return contract.shares[i] * params.r * demand(efforts) - params.costs[i] * efforts.efforts[i]
 
 
-def _threshold(params: MarketParams, scenario: ScenarioKind) -> tuple[float, str, list[str]]:
-    notes: list[str] = []
-    if scenario in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
-        c = params.costs[0]
-        if any(abs(ci - c) > _ATOL * max(1.0, c) for ci in params.costs):
-            notes.append("symmetric scenario given unequal costs; using the first cost")
-        return c, "r > c", notes
-    if scenario in (
-        ScenarioKind.PUBLIC_PRIVATE,
-        ScenarioKind.PUBLIC_PRIVATE_REGULATED,
-        ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE,
-    ):
-        if params.n < 2:
-            notes.append("scenario expects two ISPs (public, private)")
-        return params.costs[-1], "r > c2", notes
-    if scenario in (ScenarioKind.ASYMMETRIC_COMPETITIVE, ScenarioKind.REGULATED_COMPETITIVE,
-                    ScenarioKind.MULTI_CP_COMPETITIVE):
-        return sum(params.costs), "r > c1 + c2", notes
-    if scenario in (ScenarioKind.REGULATED_COOPERATIVE, ScenarioKind.MULTI_CP_COOPERATIVE):
-        return max(params.costs), "r > max(c1, c2)", notes
-    raise AssertionError(f"unhandled scenario {scenario}")
-
-
 def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:
     """Report whether the scenario's non-degeneracy condition holds.
 
@@ -292,15 +301,21 @@ def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:
     CP has no incentive to share because total effort would stay below one
     demand unit. Multi-CP scenarios require the condition for both rates.
     """
-    threshold, condition, notes = _threshold(params, scenario)
+    condition, _ = _PINS[scenario]
+    threshold = pin_cost(scenario, params.costs)
+    notes: list[str] = []
+    if condition == "r > c" and any(abs(c - threshold) > _ATOL * max(1.0, threshold)
+                                    for c in params.costs):
+        notes.append("symmetric scenario given unequal costs; using the first cost")
+    if condition == "r > c2" and params.n < 2:
+        notes.append("scenario expects two ISPs (public, private)")
     valid = params.r > threshold
     if scenario in (ScenarioKind.MULTI_CP_COMPETITIVE, ScenarioKind.MULTI_CP_COOPERATIVE):
         if params.second_cp_rate is None:
             notes.append("two-CP scenario without a second rate; checked the first rate only")
-        else:
-            if not params.second_cp_rate > threshold:
-                notes.append("second CP rate is in the degenerate regime")
-            valid = valid and params.second_cp_rate > threshold
+        elif not params.second_cp_rate > threshold:
+            notes.append("second CP rate is in the degenerate regime")
+            valid = False
     if not valid:
         notes.append("degenerate regime: zero shares and zero efforts are the equilibrium")
     return ValidationReport(

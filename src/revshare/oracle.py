@@ -338,7 +338,8 @@ def solve_asymmetric_cooperative(
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
     ``foc_residual`` is the finite-difference stationarity of the log Nash
-    product, which settles near 1e-8 rather than the closed-form 1e-9.
+    product, which settles near 1e-8 rather than the closed-form 1e-9; a
+    surplus that binds within that step raises InfeasibleBargainError.
     """
     d1, d2 = _resolve_disagreement(disagreement, r, c1, c2, config)
     scan_config = SearchConfig(
@@ -392,6 +393,9 @@ def solve_asymmetric_cooperative(
 
     def log_product(x, y):
         f1, f2 = _nash_factors(r, c1, c2, beta_star, x, y, d1, d2)
+        if f1 <= 0.0 or f2 <= 0.0:
+            binding = ", ".join(f"surplus F{i}={f:.3g}" for i, f in ((1, f1), (2, f2)) if f <= 0.0)
+            raise InfeasibleBargainError(f"bargain at beta={beta_star:.6g} binds: {binding}")
         return math.log(f1) + math.log(f2)
 
     h = 1e-6

@@ -4,7 +4,7 @@ import pytest
 
 from revshare import cli
 from revshare.cli import SweepAxis, UsageError, parse_args
-from revshare.model import Branch
+from revshare.model import Branch, MarketParams, ScenarioKind, validate
 
 
 class TestParseArgs:
@@ -214,6 +214,21 @@ class TestSweepCommand:
             "0.5", "1", "1.5", "2"]
 
 
+    def test_json_sweep_is_an_array_matching_the_csv_rows(self, capsys):
+        base = ["sweep", "--scenario", "fixed-public-effort-cooperative", "--r", "10",
+                "--c", "0.5,1.0", "--a1-bar", "0.2", "--sweep", "r:0.5:12:6"]
+        code, json_text, _ = _run(capsys, base + ["--format", "json"])
+        assert code == 0
+        _, csv_text, _ = _run(capsys, base + ["--format", "csv"])
+        points = json.loads(json_text)
+        header, *lines = csv_text.strip().split("\n")
+        assert isinstance(points, list) and len(points) == len(lines) == 6
+        keys = header.split(",")
+        for point, line in zip(points, lines):
+            flat = dict(cli._flatten(point))
+            assert [cli._fmt(flat.get(key)) for key in keys] == line.split(",")
+
+
 class TestCompareCommand:
     def test_compare_public_private_table(self, capsys):
         code, out, _ = _run(capsys, ["compare", "--scenario",
@@ -270,3 +285,32 @@ class TestNbsCommand:
                                      "--disagreement", "competitive"])
         assert code == 2
         assert "surplus" in err
+
+
+def _degenerate_probe_points():
+    """(scenario, costs, r, r2) with r just below and above each of c1, c2
+    and c1 + c2, for c1 < c2 and c1 > c2. Symmetric scenarios take c1
+    alone; two-CP scenarios also move r2 across the same costs."""
+    for c1, c2 in ((0.5, 1.0), (1.0, 0.5)):
+        rates = [k * f for k in (c1, c2, c1 + c2) for f in (0.999, 1.001)]
+        for kind in ScenarioKind:
+            costs = (c1,) if kind.value.startswith("symmetric") else (c1, c2)
+            r2_values = rates if kind.value.startswith("multi-cp") else [None]
+            for r in rates:
+                for r2 in r2_values:
+                    yield kind, costs, r, r2
+
+
+def test_solve_degenerate_flag_agrees_with_validate(capsys):
+    for kind, costs, r, r2 in _degenerate_probe_points():
+        argv = ["solve", "--scenario", kind.value, "--r", repr(r),
+                "--c", ",".join(map(repr, costs)), "--format", "json"]
+        if r2 is not None:
+            argv += ["--r2", repr(r2)]
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        bodies = [(payload, r)] if r2 is None else zip(payload["per_cp"], (r, r2))
+        for body, rate in bodies:
+            expected = validate(MarketParams(r=rate, costs=costs), kind).degenerate
+            assert body["degenerate"] is expected, argv

@@ -246,6 +246,14 @@ class TestSolveAsymmetricCooperative:
             10.0, 0.5, 1.0, disagreement=DisagreementPolicy.custom(0.1, 0.2), beta=0.5)
         assert result.disagreement == (0.1, 0.2)
 
+    def test_binding_surplus_is_a_named_infeasible_bargain(self):
+        # at this share the competitive-disagreement bargain binds ISP2's
+        # surplus, so the stationarity step leaves the feasible region
+        with pytest.raises(InfeasibleBargainError, match="binds: surplus F2="):
+            solve_asymmetric_cooperative(
+                6.39990663152031, 0.42244726701719093, 0.7213675589094566,
+                beta=0.45057978443260216)
+
 
 def test_numeric_disagreement_matches_closed_form():
     # the benchmark utilities pass through two nested value-based searches,
