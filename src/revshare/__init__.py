@@ -38,6 +38,7 @@ from .compare import (
 )
 from .lambertw import WConfig, lambert_w0, log_x_over_w
 from .model import (
+    BargainNotConvergedError,
     BargainingResult,
     Branch,
     Contract,

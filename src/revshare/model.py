@@ -24,6 +24,7 @@ __all__ = [
     "DegenerateRegimeError",
     "InfeasibleEffortError",
     "InfeasibleBargainError",
+    "BargainNotConvergedError",
     "demand",
     "cp_utility",
     "isp_utility",
@@ -48,6 +49,11 @@ class InfeasibleEffortError(Exception):
 class InfeasibleBargainError(Exception):
     """Raised when no effort/share allocation gives every bargainer strictly
     more than its disagreement utility."""
+
+
+class BargainNotConvergedError(ArithmeticError):
+    """Raised when the independent starts of a Nash-bargaining search do
+    not agree on one maximizer."""
 
 
 class Branch(str, Enum):
@@ -244,7 +250,8 @@ class BargainingResult:
     ``share_split`` is the implied (beta1, beta2) division of the joint
     share; ``surpluses`` are the factors F_i = U_i - d_i of the Nash
     product at the solution; ``multistart_agreement`` is the largest
-    pairwise distance between multistart maximizers (uniqueness check).
+    effort gap between any start's maximizer and the chosen one
+    (uniqueness check).
     """
 
     efforts: EffortProfile

@@ -2,8 +2,9 @@
 
 Nothing here evaluates Lambert W or any W-based formula: leader problems
 are solved by grid-then-golden-section search, follower problems by
-bounded golden-section, and the bargaining stage by multistart Nelder-Mead
-on log-effort coordinates. When these and the closed forms disagree, the
+bounded golden-section, and the bargaining stage by a multistart
+grid-golden-bisection search over log total effort, with the split at each
+total in closed form. When these and the closed forms disagree, the
 numbers computed here are authoritative.
 """
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-from scipy.optimize import minimize
+# unused: kept so tracing code that wraps ``oracle.minimize`` still loads
+from scipy.optimize import minimize  # noqa: F401
 
 from .model import (
+    BargainNotConvergedError,
     BargainingResult,
     Contract,
     DisagreementPolicy,
@@ -41,10 +43,16 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Paired multistarts must land on the same maximizer for the bargaining
+# Independent starts must land on the same maximizer for the bargaining
 # stage to count as converged (the solution is unique when it exists).
 _AGREEMENT_TOL = 1e-6
 _PENALTY = 1e6
+# The Nash search covers log T from log(hi) - _LOG_SPAN up to log(hi), with
+# _NASH_GRID points per start; golden section hands the slope bisection a
+# point within _SLOPE_BRACKET of the top.
+_LOG_SPAN = 25.0
+_NASH_GRID = 64
+_SLOPE_BRACKET = 1e-5
 # Coarse outer grid for the nested leader search; each evaluation runs a
 # full bargaining solve, so the 2001-point default would be wasteful.
 _NESTED_GRID = 41
@@ -52,12 +60,11 @@ _NESTED_GRID = 41
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and tolerances for the grid / golden-section / simplex searches."""
+    """Budget and tolerances for the grid / golden-section searches."""
 
     grid_points: int = 2001
     refine_tolerance: float = 1e-10
     multistart_count: int = 8
-    max_simplex_iters: int = 5000
 
     def __post_init__(self):
         if self.grid_points < 3:
@@ -66,8 +73,6 @@ class SearchConfig:
             raise ValueError("refine_tolerance must be positive")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be at least 1")
-        if self.max_simplex_iters < 1:
-            raise ValueError("max_simplex_iters must be at least 1")
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -209,23 +214,24 @@ def _nash_factors(r, c1, c2, beta, a1, a2, d1, d2):
     return rev * a1 - c1 * a1 - d1, rev * a2 - c2 * a2 - d2
 
 
-def _multistart_points(count: int, lo: float, hi: float):
-    # Deterministic low-discrepancy spread; reproducible across runs.
-    for k in range(count):
-        u = (k + 0.5) / count
-        v = (0.5 + k * _INVPHI) % 1.0
-        yield lo + u * (hi - lo), lo + v * (hi - lo)
-
-
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
                           d1: float = 0.0, d2: float = 0.0,
                           config: SearchConfig = DEFAULT_SEARCH) -> BargainingResult:
     """Maximize the Nash product of the two ISPs' surpluses over efforts.
 
     The objective is F1*F2 with F_i = (beta*a_i/(a1+a2))*r*log(a1+a2+1)
-    - c_i*a_i - d_i, maximized over a1, a2 > 0 by multistart Nelder-Mead in
-    log-effort coordinates (penalty outside the F_i > 0 region), each start
-    polished by a restart. The implied share split is beta*a_i/(a1+a2).
+    - c_i*a_i - d_i over a1, a2 >= 0. With the total T = a1 + a2 fixed,
+    F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in the split s = a1/T,
+    where A = beta*r*log1p(T) - c1*T and B likewise with c2; log(F1*F2) is
+    concave in s and peaks at the equal-surplus vertex
+    s* = (1 - d2/B + d1/A)/2, clamped to [0, 1]. That leaves a 1-D search
+    over z = log T on [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2).
+    Each of ``config.multistart_count`` phase-shifted grids is refined on
+    its own: golden section on every local maximum of the grid (a penalty
+    outside the region of positive surpluses leads it into a narrow
+    feasible window), then bisection on the sign of the analytic slope.
+    ``multistart_agreement`` is the largest effort gap between the starts'
+    maximizers. The implied share split is beta*s.
 
     Raises
     ------
@@ -240,48 +246,88 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise ValueError("disagreement utilities must be finite")
 
-    hi = beta * r / min(c1, c2)
+    br = beta * r
+    hi = br / min(c1, c2)
     if hi <= 1e-3:
         raise InfeasibleBargainError("share too small for any profitable effort")
-    z_lo, z_hi = math.log(1e-3), math.log(hi)
+    z_hi = math.log(hi)
+    z_lo = z_hi - _LOG_SPAN
 
-    def neg_log_product(z):
-        # clamp the exponent so a wandering simplex cannot under/overflow
-        a1 = math.exp(min(max(z[0], -600.0), 600.0))
-        a2 = math.exp(min(max(z[1], -600.0), 600.0))
-        if a1 + a2 == 0.0:
-            return 2.0 * _PENALTY
-        f1, f2 = _nash_factors(r, c1, c2, beta, a1, a2, d1, d2)
-        if f1 <= 0.0 or f2 <= 0.0:
-            return _PENALTY - min(f1, f2)
-        return -(math.log(f1) + math.log(f2))
+    def point(z):
+        total = math.exp(z)
+        revenue = br * math.log1p(total)
+        a, b = revenue - c1 * total, revenue - c2 * total
+        if a * b > 0.0:
+            s = 0.5 * (1.0 - d2 / b + d1 / a)
+            s = min(s, 1.0) if s > 0.0 else 0.0
+        else:
+            # margins of opposite sign: the product rises towards the
+            # ISP whose margin is positive
+            s = 1.0 if a > b else 0.0
+        return total, s, s * a - d1, (1.0 - s) * b - d2
 
-    options = dict(
-        xatol=1e-10, fatol=1e-14,
-        maxiter=config.max_simplex_iters, maxfev=2 * config.max_simplex_iters,
-    )
-    found: list[tuple[float, float, float]] = []
-    for z1, z2 in _multistart_points(config.multistart_count, z_lo, z_hi):
-        res = minimize(neg_log_product, np.array([z1, z2]),
-                       method="Nelder-Mead", options=options)
-        res = minimize(neg_log_product, res.x, method="Nelder-Mead", options=options)
-        if res.fun < _PENALTY / 2:
-            found.append((float(res.fun), math.exp(res.x[0]), math.exp(res.x[1])))
+    def merit(z):
+        _, _, f1, f2 = point(z)
+        if f1 > 0.0 and f2 > 0.0:
+            return math.log(f1) + math.log(f2)
+        return -_PENALTY + min(f1, f2)
+
+    def rising(z):
+        # at the best split the T-derivative of log(F1*F2) is its partial
+        # with s held fixed (envelope theorem)
+        total, s, f1, f2 = point(z)
+        if not (f1 > 0.0 and f2 > 0.0):
+            return False
+        rate = br / (1.0 + total)
+        return s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
+
+    def refine(lo, hi):
+        z = golden_section_max(merit, lo, hi, tol=1e-7)
+        # value comparisons cannot place a flat top; the slope's sign can
+        lo, hi = max(z - _SLOPE_BRACKET, z_lo), min(z + _SLOPE_BRACKET, z_hi)
+        if rising(lo) and not rising(hi):
+            z = 0.5 * (lo + hi)
+            while lo < z < hi:
+                if rising(z):
+                    lo = z
+                else:
+                    hi = z
+                z = 0.5 * (lo + hi)
+        return merit(z), z
+
+    # A negative d_i pays ISP i to idle, which adds a peak where the other
+    # ISP's margin peaks, at T = beta*r/c_j - 1; it can share a grid cell
+    # with the interior peak, so it is a candidate of every start.
+    idle = [(merit(z), z) for z in (max(math.log(br / c - 1.0), z_lo)
+                                    for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c)]
+
+    def search(phase):
+        step = (z_hi - z_lo) / _NASH_GRID
+        zs = [z_lo, *(z_lo + (j + phase) * step for j in range(_NASH_GRID)), z_hi]
+        vals = [merit(z) for z in zs[1:-1]]
+        peaks = [j for j in range(_NASH_GRID)
+                 if (j == 0 or vals[j] > vals[j - 1])
+                 and (j + 1 == _NASH_GRID or vals[j] >= vals[j + 1])]
+        return point(max([refine(zs[j], zs[j + 2]) for j in peaks] + idle)[1])
+
+    count = config.multistart_count
+    found = [(math.log(f1) + math.log(f2), total, s, f1, f2)
+             for total, s, f1, f2 in (search((k + 0.5) / count) for k in range(count))
+             if f1 > 0.0 and f2 > 0.0]
     if not found:
         raise InfeasibleBargainError(
             f"no effort pair beats the disagreement point (d1={d1:.6g}, d2={d2:.6g})"
         )
-    found.sort(key=lambda t: t[0])
-    _, a1, a2 = found[0]
-    agreement = max(max(abs(x1 - a1), abs(x2 - a2)) for _, x1, x2 in found)
-    f1, f2 = _nash_factors(r, c1, c2, beta, a1, a2, d1, d2)
-    total = a1 + a2
+    _, total, s, f1, f2 = max(found)
+    a1, a2 = s * total, (1.0 - s) * total
+    agreement = max(max(abs(t * u - a1), abs(t * (1.0 - u) - a2))
+                    for _, t, u, _, _ in found)
     return BargainingResult(
         efforts=EffortProfile((a1, a2)),
-        share_split=(beta * a1 / total, beta * a2 / total),
+        share_split=(beta * s, beta * (1.0 - s)),
         surpluses=(f1, f2),
         disagreement=(d1, d2),
-        converged=len(found) == config.multistart_count and agreement <= _AGREEMENT_TOL,
+        converged=len(found) == count and agreement <= _AGREEMENT_TOL,
         multistart_agreement=agreement,
     )
 
@@ -339,14 +385,14 @@ def solve_asymmetric_cooperative(
     together with the bargaining result at the chosen share. The outcome's
     ``foc_residual`` is the finite-difference stationarity of the log Nash
     product, which settles near 1e-8 rather than the closed-form 1e-9; a
-    surplus that binds within that step raises InfeasibleBargainError.
+    surplus that binds within that step raises InfeasibleBargainError, and
+    a final bargain whose starts disagree raises BargainNotConvergedError.
     """
     d1, d2 = _resolve_disagreement(disagreement, r, c1, c2, config)
     scan_config = SearchConfig(
         grid_points=config.grid_points,
         refine_tolerance=config.refine_tolerance,
         multistart_count=min(config.multistart_count, 4),
-        max_simplex_iters=config.max_simplex_iters,
     )
 
     def cp_value(b: float) -> float:
@@ -386,6 +432,11 @@ def solve_asymmetric_cooperative(
         beta_star = beta
 
     result = nash_product_maximize(r, c1, c2, beta_star, d1, d2, config)
+    if not result.converged:
+        raise BargainNotConvergedError(
+            f"bargain at beta={beta_star:.6g} did not converge: multistart spread "
+            f"{result.multistart_agreement:.3g}"
+        )
     a1, a2 = result.efforts.efforts
     total = a1 + a2
     d = math.log(total + 1.0)

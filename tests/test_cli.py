@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from revshare import cli
+from revshare import cli, oracle
 from revshare.cli import SweepAxis, UsageError, parse_args
 from revshare.model import Branch, MarketParams, ScenarioKind, validate
 
@@ -285,6 +286,22 @@ class TestNbsCommand:
                                      "--disagreement", "competitive"])
         assert code == 2
         assert "surplus" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["nbs", "--scenario", "regulated-cooperative", "--disagreement", "zero"],
+        ["compare", "--scenario", "compare-coop-comp", "--disagreement", "zero"],
+    ])
+    def test_non_converged_bargain_exits_two(self, capsys, monkeypatch, argv):
+        real = oracle.nash_product_maximize
+
+        def split_starts(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(oracle, "nash_product_maximize", split_starts)
+        code, out, err = _run(capsys, argv + ["--r", "10", "--c", "0.5,1.0"])
+        assert code == 2
+        assert out == ""
+        assert "did not converge: multistart spread" in err
 
 
 def _degenerate_probe_points():

@@ -1,14 +1,23 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revshare import oracle
 from revshare.closed_form import (
     solve_asymmetric_competitive,
     solve_regulated_competitive,
     solve_symmetric_cooperative,
 )
-from revshare.model import DisagreementPolicy, InfeasibleBargainError
+from revshare.model import (
+    BargainNotConvergedError,
+    DisagreementPolicy,
+    InfeasibleBargainError,
+)
 from revshare.oracle import (
     KktRegion,
     SearchConfig,
@@ -204,6 +213,68 @@ class TestNashProductMaximize:
         with pytest.raises(ValueError):
             nash_product_maximize(10.0, 0.5, 1.0, 1.0)
 
+    def test_negative_custom_disagreement_idles_isp1(self):
+        # d1 = -5 puts the equal-surplus split below zero, so ISP1 idles and
+        # ISP2 alone maximizes 4*log(T+1) - T, at T = 3
+        result = nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1=-5.0)
+        assert result.converged
+        assert result.efforts.efforts[0] == pytest.approx(0.0, abs=1e-6)
+        assert result.efforts.efforts[1] == pytest.approx(3.0, abs=1e-6)
+
+
+def _log_nash_product(r, c1, c2, beta, d1, d2, x, y):
+    total = x + y
+    rev = beta * r * np.log1p(total) / total
+    f1 = rev * x - c1 * x - d1
+    f2 = rev * y - c2 * y - d2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((f1 > 0.0) & (f2 > 0.0), np.log(f1) + np.log(f2), -np.inf)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(c1=st.floats(0.05, 5.0), c2=st.floats(0.05, 5.0), margin=st.floats(1.05, 100.0),
+       beta=st.floats(0.05, 0.95), policy=st.sampled_from(["zero", "custom", "competitive"]),
+       u1=st.floats(-0.2, 0.2), u2=st.floats(-0.2, 0.2))
+def test_nash_search_is_stationary_and_beats_a_dense_grid(c1, c2, margin, beta, policy, u1, u2):
+    # custom utilities are shares of the revenue scale r, of either sign;
+    # competitive ones come from the closed form, not from the oracle
+    r = (c1 + c2) * margin
+    if policy == "zero":
+        d1, d2 = 0.0, 0.0
+    elif policy == "custom":
+        d1, d2 = u1 * r, u2 * r
+    else:
+        d1, d2 = solve_regulated_competitive(r, c1, c2).isp_utilities
+    try:
+        result = nash_product_maximize(r, c1, c2, beta, d1, d2)
+    except InfeasibleBargainError:
+        return
+    assert result.converged
+    assert sum(result.share_split) == pytest.approx(beta, abs=1e-12)
+    a1, a2 = result.efforts.efforts
+    total = a1 + a2
+
+    def log_product(x, y):
+        return float(_log_nash_product(r, c1, c2, beta, d1, d2, x, y))
+
+    # gradient in units of the total effort, by central differences, or
+    # forward ones at an idle ISP (where it may only point outwards)
+    h = 1e-6 * total
+    at = log_product(a1, a2)
+    for k, a in enumerate((a1, a2)):
+        step = (h, 0.0) if k == 0 else (0.0, h)
+        up = log_product(a1 + step[0], a2 + step[1])
+        if a == 0.0:
+            assert (up - at) / h * total <= 1e-4
+        else:
+            down = log_product(a1 - step[0], a2 - step[1])
+            assert abs(up - down) / (2 * h) * total <= 1e-4
+
+    hi = beta * r / min(c1, c2)
+    zs = np.exp(np.linspace(math.log(hi) - 25.0, math.log(hi), 100))
+    x, y = np.meshgrid(zs, zs)
+    assert at >= float(np.max(_log_nash_product(r, c1, c2, beta, d1, d2, x, y))) - 1e-9
+
 
 class TestSolveAsymmetricCooperative:
     def test_equal_costs_reduce_to_symmetric_cooperative(self):
@@ -240,6 +311,43 @@ class TestSolveAsymmetricCooperative:
         assert comp_out.contract.joint_share > zero_out.contract.joint_share
         assert comp_res.surpluses[0] >= -1e-10
         assert comp_res.surpluses[1] >= -1e-10
+
+    def test_optimal_share_matches_mpmath(self):
+        # beta* solves, at 40 digits, the inner stationarity G(T, beta) = 0
+        # of log(A*B) with A = beta*r*log1p(T) - c1*T (zero disagreement
+        # splits evenly) and the outer -log1p(T) + (1-beta)*T'/(1+T) = 0
+        r, c1, c2 = 10.0, 0.5, 1.0
+        mpmath.mp.dps = 40
+
+        def inner(t, b):
+            rate = b * r / (1 + t)
+            a = b * r * mpmath.log1p(t) - c1 * t
+            bb = b * r * mpmath.log1p(t) - c2 * t
+            return (rate - c1) * bb + a * (rate - c2)
+
+        def outer(t, b):
+            slope = (-mpmath.diff(lambda x: inner(t, x), b)
+                     / mpmath.diff(lambda x: inner(x, b), t))
+            return -mpmath.log1p(t) + (1 - b) * slope / (1 + t)
+
+        _, beta_star = mpmath.findroot([inner, outer], (mpmath.mpf(3.9), mpmath.mpf(0.4)))
+        outcome, result = solve_asymmetric_cooperative(
+            r, c1, c2, disagreement=DisagreementPolicy.zero())
+        assert abs(outcome.contract.joint_share - float(beta_star)) <= 1e-6
+        a1, a2 = result.efforts.efforts
+        assert abs(a1 - a2) <= 1e-12 * a1
+
+    def test_non_converged_bargain_is_a_named_error(self, monkeypatch):
+        real = oracle.nash_product_maximize
+
+        def split_starts(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False,
+                                       multistart_agreement=3.5e-3)
+
+        monkeypatch.setattr(oracle, "nash_product_maximize", split_starts)
+        with pytest.raises(BargainNotConvergedError, match="multistart spread 0.0035"):
+            solve_asymmetric_cooperative(
+                10.0, 0.5, 1.0, disagreement=DisagreementPolicy.zero(), beta=0.4)
 
     def test_custom_disagreement_passthrough(self):
         _, result = solve_asymmetric_cooperative(
