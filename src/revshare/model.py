@@ -52,8 +52,7 @@ class InfeasibleBargainError(Exception):
 
 
 class BargainNotConvergedError(ArithmeticError):
-    """Raised when the independent starts of a Nash-bargaining search do
-    not agree on one maximizer."""
+    """Raised when the starts of a Nash-bargaining search disagree."""
 
 
 class Branch(str, Enum):
@@ -250,8 +249,7 @@ class BargainingResult:
     ``share_split`` is the implied (beta1, beta2) division of the joint
     share; ``surpluses`` are the factors F_i = U_i - d_i of the Nash
     product at the solution; ``multistart_agreement`` is the largest
-    effort gap between any start's maximizer and the chosen one
-    (uniqueness check).
+    effort gap between a start's maximizer and the chosen one.
     """
 
     efforts: EffortProfile

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -47,12 +47,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # stage to count as converged (the solution is unique when it exists).
 _AGREEMENT_TOL = 1e-6
 _PENALTY = 1e6
-# The Nash search covers log T from log(hi) - _LOG_SPAN up to log(hi), with
-# _NASH_GRID points per start; golden section hands the slope bisection a
-# point within _SLOPE_BRACKET of the top.
-_LOG_SPAN = 25.0
-_NASH_GRID = 64
-_SLOPE_BRACKET = 1e-5
+_NASH_GRID = 64  # points per start over the 25 units of log total effort
 # Coarse outer grid for the nested leader search; each evaluation runs a
 # full bargaining solve, so the 2001-point default would be wasteful.
 _NESTED_GRID = 41
@@ -208,36 +203,24 @@ def kkt_classify(beta1: float, beta2: float, c1: float, c2: float) -> KktCase:
     return KktCase(KktRegion.BOUNDARY1, beta1 * c2 / beta2 - c1)
 
 
-def _nash_factors(r, c1, c2, beta, a1, a2, d1, d2):
-    total = a1 + a2
-    rev = beta * r * math.log(total + 1.0) / total
-    return rev * a1 - c1 * a1 - d1, rev * a2 - c2 * a2 - d2
-
-
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
                           d1: float = 0.0, d2: float = 0.0,
                           config: SearchConfig = DEFAULT_SEARCH) -> BargainingResult:
     """Maximize the Nash product of the two ISPs' surpluses over efforts.
 
-    The objective is F1*F2 with F_i = (beta*a_i/(a1+a2))*r*log(a1+a2+1)
-    - c_i*a_i - d_i over a1, a2 >= 0. With the total T = a1 + a2 fixed,
-    F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in the split s = a1/T,
-    where A = beta*r*log1p(T) - c1*T and B likewise with c2; log(F1*F2) is
-    concave in s and peaks at the equal-surplus vertex
-    s* = (1 - d2/B + d1/A)/2, clamped to [0, 1]. That leaves a 1-D search
-    over z = log T on [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2).
-    Each of ``config.multistart_count`` phase-shifted grids is refined on
-    its own: golden section on every local maximum of the grid (a penalty
-    outside the region of positive surpluses leads it into a narrow
-    feasible window), then bisection on the sign of the analytic slope.
-    ``multistart_agreement`` is the largest effort gap between the starts'
-    maximizers. The implied share split is beta*s.
+    F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
+    fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
+    (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
+    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. Each of
+    ``config.multistart_count`` phase-shifted grids over log T in
+    [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2), refines every local
+    maximum by golden section (a penalty outside positive surpluses leads
+    into a narrow feasible window), then by bisecting the analytic slope.
 
     Raises
     ------
     InfeasibleBargainError
-        If no start finds a point with both surpluses positive, i.e. the
-        disagreement utilities dominate everything attainable.
+        If no start finds a point with both surpluses positive.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"joint share must lie in (0, 1), got {beta!r}")
@@ -245,83 +228,59 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         raise ValueError("rate and costs must be positive")
     if not (math.isfinite(d1) and math.isfinite(d2)):
         raise ValueError("disagreement utilities must be finite")
-
     br = beta * r
-    hi = br / min(c1, c2)
-    if hi <= 1e-3:
+    if br / min(c1, c2) <= 1e-3:
         raise InfeasibleBargainError("share too small for any profitable effort")
-    z_hi = math.log(hi)
-    z_lo = z_hi - _LOG_SPAN
+    z_hi = math.log(br / min(c1, c2))
+    z_lo = z_hi - 25.0
 
     def point(z):
-        total = math.exp(z)
-        revenue = br * math.log1p(total)
-        a, b = revenue - c1 * total, revenue - c2 * total
-        if a * b > 0.0:
-            s = 0.5 * (1.0 - d2 / b + d1 / a)
-            s = min(s, 1.0) if s > 0.0 else 0.0
-        else:
-            # margins of opposite sign: the product rises towards the
-            # ISP whose margin is positive
-            s = 1.0 if a > b else 0.0
-        return total, s, s * a - d1, (1.0 - s) * b - d2
+        t = math.exp(z)
+        a, b = br * math.log1p(t) - c1 * t, br * math.log1p(t) - c2 * t
+        # with margins of opposite sign the product rises towards the positive one
+        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = min(s, 1.0) if s > 0.0 else 0.0
+        return t, s, s * a - d1, (1.0 - s) * b - d2
 
     def merit(z):
         _, _, f1, f2 = point(z)
-        if f1 > 0.0 and f2 > 0.0:
-            return math.log(f1) + math.log(f2)
-        return -_PENALTY + min(f1, f2)
+        return math.log(f1) + math.log(f2) if f1 > 0.0 and f2 > 0.0 else min(f1, f2) - _PENALTY
 
     def rising(z):
-        # at the best split the T-derivative of log(F1*F2) is its partial
-        # with s held fixed (envelope theorem)
-        total, s, f1, f2 = point(z)
-        if not (f1 > 0.0 and f2 > 0.0):
-            return False
-        rate = br / (1.0 + total)
-        return s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
+        # envelope theorem: at the best split the T-slope holds s fixed
+        t, s, f1, f2 = point(z)
+        rate = br / (1.0 + t)
+        return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0
 
     def refine(lo, hi):
         z = golden_section_max(merit, lo, hi, tol=1e-7)
         # value comparisons cannot place a flat top; the slope's sign can
-        lo, hi = max(z - _SLOPE_BRACKET, z_lo), min(z + _SLOPE_BRACKET, z_hi)
+        lo, hi = max(z - 1e-5, z_lo), min(z + 1e-5, z_hi)
         if rising(lo) and not rising(hi):
-            z = 0.5 * (lo + hi)
-            while lo < z < hi:
-                if rising(z):
-                    lo = z
-                else:
-                    hi = z
-                z = 0.5 * (lo + hi)
+            while lo < (z := 0.5 * (lo + hi)) < hi:
+                lo, hi = (z, hi) if rising(z) else (lo, z)
         return merit(z), z
 
-    # A negative d_i pays ISP i to idle, which adds a peak where the other
-    # ISP's margin peaks, at T = beta*r/c_j - 1; it can share a grid cell
-    # with the interior peak, so it is a candidate of every start.
-    idle = [(merit(z), z) for z in (max(math.log(br / c - 1.0), z_lo)
-                                    for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c)]
+    # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
+    idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
+            for z in (max(math.log(br / c - 1.0), z_lo),)]
 
     def search(phase):
-        step = (z_hi - z_lo) / _NASH_GRID
-        zs = [z_lo, *(z_lo + (j + phase) * step for j in range(_NASH_GRID)), z_hi]
-        vals = [merit(z) for z in zs[1:-1]]
-        peaks = [j for j in range(_NASH_GRID)
-                 if (j == 0 or vals[j] > vals[j - 1])
-                 and (j + 1 == _NASH_GRID or vals[j] >= vals[j + 1])]
-        return point(max([refine(zs[j], zs[j + 2]) for j in peaks] + idle)[1])
+        zs = [z_lo, *(z_lo + (j + phase) * 25.0 / _NASH_GRID for j in range(_NASH_GRID)), z_hi]
+        v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
+        return point(max([refine(zs[j - 1], zs[j + 1]) for j in range(1, _NASH_GRID + 1)
+                          if v[j - 1] < v[j] >= v[j + 1]] + idle)[1])
 
     count = config.multistart_count
-    found = [(math.log(f1) + math.log(f2), total, s, f1, f2)
-             for total, s, f1, f2 in (search((k + 0.5) / count) for k in range(count))
-             if f1 > 0.0 and f2 > 0.0]
+    found = [p for p in map(search, ((k + 0.5) / count for k in range(count)))
+             if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
             f"no effort pair beats the disagreement point (d1={d1:.6g}, d2={d2:.6g})"
         )
-    _, total, s, f1, f2 = max(found)
+    total, s, f1, f2 = max(found, key=lambda p: math.log(p[2]) + math.log(p[3]))
     a1, a2 = s * total, (1.0 - s) * total
-    agreement = max(max(abs(t * u - a1), abs(t * (1.0 - u) - a2))
-                    for _, t, u, _, _ in found)
+    agreement = max(max(abs(t * u - a1), abs(t * (1.0 - u) - a2)) for t, u, _, _ in found)
     return BargainingResult(
         efforts=EffortProfile((a1, a2)),
         share_split=(beta * s, beta * (1.0 - s)),
@@ -360,15 +319,6 @@ def regulated_competitive_utilities_numeric(
     return utilities[0], utilities[1]
 
 
-def _resolve_disagreement(policy: DisagreementPolicy, r, c1, c2,
-                          config: SearchConfig) -> tuple[float, float]:
-    if policy.kind == "zero":
-        return 0.0, 0.0
-    if policy.kind == "custom":
-        return policy.d1, policy.d2
-    return regulated_competitive_utilities_numeric(r, c1, c2, config)
-
-
 def solve_asymmetric_cooperative(
         r: float, c1: float, c2: float,
         disagreement: DisagreementPolicy = DisagreementPolicy.regulated_competitive(),
@@ -388,12 +338,10 @@ def solve_asymmetric_cooperative(
     surplus that binds within that step raises InfeasibleBargainError, and
     a final bargain whose starts disagree raises BargainNotConvergedError.
     """
-    d1, d2 = _resolve_disagreement(disagreement, r, c1, c2, config)
-    scan_config = SearchConfig(
-        grid_points=config.grid_points,
-        refine_tolerance=config.refine_tolerance,
-        multistart_count=min(config.multistart_count, 4),
-    )
+    d1, d2 = (disagreement.d1, disagreement.d2) if disagreement.kind == "custom" else (0.0, 0.0)
+    if disagreement.kind == "regulated-competitive":
+        d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2, config)
+    scan_config = replace(config, multistart_count=min(config.multistart_count, 4))
 
     def cp_value(b: float) -> float:
         if not 1e-6 < b < 1.0 - 1e-12:
@@ -407,8 +355,7 @@ def solve_asymmetric_cooperative(
     if beta is None:
         grid = [(k + 1) / (_NESTED_GRID + 1) for k in range(_NESTED_GRID)]
         vals = [cp_value(b) for b in grid]
-        finite = [v for v in vals if v > -math.inf]
-        if not finite:
+        if max(vals) == -math.inf:
             raise InfeasibleBargainError(
                 "no share in (0, 1) admits a feasible bargain for this disagreement point"
             )
@@ -433,17 +380,16 @@ def solve_asymmetric_cooperative(
 
     result = nash_product_maximize(r, c1, c2, beta_star, d1, d2, config)
     if not result.converged:
-        raise BargainNotConvergedError(
-            f"bargain at beta={beta_star:.6g} did not converge: multistart spread "
-            f"{result.multistart_agreement:.3g}"
-        )
+        raise BargainNotConvergedError(f"bargain at beta={beta_star:.6g} did not converge: "
+                                       f"multistart spread {result.multistart_agreement:.3g}")
     a1, a2 = result.efforts.efforts
     total = a1 + a2
     d = math.log(total + 1.0)
     shares = result.share_split
 
     def log_product(x, y):
-        f1, f2 = _nash_factors(r, c1, c2, beta_star, x, y, d1, d2)
+        rev = beta_star * r * math.log(x + y + 1.0) / (x + y)
+        f1, f2 = rev * x - c1 * x - d1, rev * y - c2 * y - d2
         if f1 <= 0.0 or f2 <= 0.0:
             binding = ", ".join(f"surplus F{i}={f:.3g}" for i, f in ((1, f1), (2, f2)) if f <= 0.0)
             raise InfeasibleBargainError(f"bargain at beta={beta_star:.6g} binds: {binding}")
