@@ -250,7 +250,7 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         # envelope theorem: at the best split the T-slope holds s fixed
         t, s, f1, f2 = point(z)
         rate = br / (1.0 + t)
-        return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0
+        return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
 
     def refine(lo, hi):
         z = golden_section_max(merit, lo, hi, tol=1e-7)

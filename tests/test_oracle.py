@@ -257,18 +257,17 @@ def test_nash_search_is_stationary_and_beats_a_dense_grid(c1, c2, margin, beta, 
     def log_product(x, y):
         return float(_log_nash_product(r, c1, c2, beta, d1, d2, x, y))
 
-    # gradient in units of the total effort, by central differences, or
-    # forward ones at an idle ISP (where it may only point outwards)
+    # gradient in units of the total effort, so that tiny-T markets are not
+    # swamped by rounding; at an idle ISP the product may only fall as it
+    # starts to work
     h = 1e-6 * total
     at = log_product(a1, a2)
-    for k, a in enumerate((a1, a2)):
-        step = (h, 0.0) if k == 0 else (0.0, h)
-        up = log_product(a1 + step[0], a2 + step[1])
+    for dx, dy, a in ((h, 0.0, a1), (0.0, h, a2)):
+        up = log_product(a1 + dx, a2 + dy)
         if a == 0.0:
             assert (up - at) / h * total <= 1e-4
         else:
-            down = log_product(a1 - step[0], a2 - step[1])
-            assert abs(up - down) / (2 * h) * total <= 1e-4
+            assert abs(up - log_product(a1 - dx, a2 - dy)) / (2 * h) * total <= 1e-4
 
     hi = beta * r / min(c1, c2)
     zs = np.exp(np.linspace(math.log(hi) - 25.0, math.log(hi), 100))
