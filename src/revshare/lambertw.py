@@ -17,7 +17,7 @@ BRANCH_POINT = -math.exp(-1.0)
 
 @dataclass(frozen=True)
 class WConfig:
-    """Convergence settings for the Halley iteration."""
+    """Convergence settings for the W iterations."""
 
     rel_tolerance: float = 1e-14
     max_iterations: int = 100
@@ -69,21 +69,50 @@ def _halley(x: float, w: float, config: WConfig) -> float | None:
     return None
 
 
+def _log_newton(x: float, config: WConfig) -> float | None:
+    """Newton iteration for w + log(w) = log(x), x > e; None if it fails to
+    settle.
+
+    The computed w*exp(w) carries a relative error of about w machine
+    epsilons, so Halley's residual test is out of reach once w exceeds about
+    125 (x above about 5e57). This form stays well conditioned; it stops on a
+    relative step of rel_tolerance (Fritsch, Shafer & Crowley, "Solution of
+    the transcendental equation w*exp(w) = x", CACM 16(2), 1973).
+    """
+    lx = math.log(x)
+    w = lx - math.log(lx)
+    for _ in range(config.max_iterations):
+        step = (w + math.log(w) - lx) * w / (1.0 + w)
+        w -= step
+        if abs(step) <= config.rel_tolerance * w:
+            return w
+    return None
+
+
 def _bisect(x: float, config: WConfig) -> float:
-    """Bracketing fallback; guarantees the residual post-condition."""
-    if x >= 0.0:
+    """Bracketing fallback. Above e it brackets w + log(w) = log(x) and stops
+    on a relative step of rel_tolerance; elsewhere it stops on the residual
+    post-condition."""
+    large = x > math.e
+    lx = math.log(x) if large else 0.0
+    if large:
+        lo, hi = 1.0, lx
+    elif x >= 0.0:
         lo, hi = 0.0, max(1.0, math.log(max(x, 1.0)) + 1.0)
     else:
         lo, hi = -1.0, 0.0
     tol = config.rel_tolerance * max(1.0, abs(x))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) - x <= 0.0:
+        if (mid + math.log(mid) <= lx) if large else (mid * math.exp(mid) - x <= 0.0):
             lo = mid
         else:
             hi = mid
         w = 0.5 * (lo + hi)
-        if abs(w * math.exp(w) - x) <= tol:
+        if large:
+            if hi - lo <= config.rel_tolerance * lo:
+                return w
+        elif abs(w * math.exp(w) - x) <= tol:
             return w
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x!r}")
 
@@ -94,16 +123,18 @@ def lambert_w0(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
     Uses Halley's method (Corless, Gonnet, Hare, Jeffrey, Knuth, "On the
     Lambert W Function", Adv. Comput. Math. 5, 1996) started from
     log(x) - log(log(x)) for x > e and from x itself on the small-argument
-    range, with a bisection fallback so the returned w always satisfies
-    |w*exp(w) - x| <= rel_tolerance * max(1, |x|).
+    range. The returned w satisfies |w*exp(w) - x| <= rel_tolerance *
+    max(1, |x|) wherever rounding allows. Where Halley cannot meet that (x
+    above about 5e57), Newton on w + log(w) = log(x) takes over and stops on
+    a relative step of rel_tolerance; bisection is the last fallback.
 
     Raises
     ------
     ValueError
         If x is below the branch point -1/e or not finite.
     ArithmeticError
-        If neither Halley nor bisection meets the tolerance (unreachable
-        for the positive arguments used by the equilibrium formulas).
+        If no iteration meets the tolerance (unreachable for finite
+        positive arguments).
     """
     if not math.isfinite(x):
         raise ValueError(f"lambert_w0 requires a finite argument, got {x!r}")
@@ -114,6 +145,8 @@ def lambert_w0(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
     if x <= BRANCH_POINT + 1e-15:
         return -1.0
     w = _halley(x, _initial_guess(x), config)
+    if w is None and x > math.e:
+        w = _log_newton(x, config)
     if w is None:
         w = _bisect(x, config)
     return w

@@ -143,6 +143,14 @@ class TestSolveCommand:
         assert code == 2
         assert "public-private-regulated" in err
 
+    def test_huge_revenue_rate_solves(self, capsys):
+        # W(r*e/c) near 1e300 is past the reach of Halley's residual test
+        code, out, err = _run(capsys, ["solve", "--scenario", "symmetric-competitive",
+                                       "--r", "1e300", "--c", "1", "--n", "2",
+                                       "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["residuals"]["foc"] <= 1e-9
+
     def test_usage_failure_exits_one(self, capsys):
         code, _, err = _run(capsys, ["solve", "--scenario", "public-private"])
         assert code == 1

@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revshare.lambertw import WConfig, lambert_w0, log_x_over_w
+from revshare.lambertw import DEFAULT_W_CONFIG, WConfig, _bisect, lambert_w0, log_x_over_w
 
 from conftest import bisection_w
 
@@ -123,3 +126,21 @@ def test_tight_tolerance_still_converges():
     x = 12345.678
     w = lambert_w0(x, config)
     assert abs(w * math.exp(w) - x) <= 1e-15 * x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(st.floats(E, 1.7e308),
+                   st.floats(1.0, math.log(1.7e308)).map(math.exp)))
+def test_matches_mpmath_up_to_largest_floats(x):
+    # Halley's residual test is unreachable above about 5e57 (the rounding
+    # of w*exp(w) grows with w), where the log-form iteration takes over.
+    with mpmath.workdps(50):
+        ref = mpmath.lambertw(x)
+        assert abs((lambert_w0(x) - ref) / ref) <= 1e-13
+
+
+def test_bisection_fallback_reaches_largest_floats():
+    for x in (1e20, 6.53e57, 2.718281828459045e300, 1.7e308):
+        with mpmath.workdps(50):
+            ref = mpmath.lambertw(x)
+            assert abs((_bisect(x, DEFAULT_W_CONFIG) - ref) / ref) <= 1e-13
