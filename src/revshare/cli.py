@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from . import closed_form, oracle, verify
+from . import closed_form, oracle
 from .bargaining import (
     coalition_values,
     disagreement_point,
@@ -536,6 +536,9 @@ def _run_sweep(spec: RunSpec) -> int:
 
 
 def _run_verify(spec: RunSpec) -> int:
+    # The only command that loads numpy (the seeded batteries), so imported here.
+    from . import verify
+
     results = verify.run_checks(fast=spec.fast)
     lines = []
     for result in results:

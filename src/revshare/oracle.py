@@ -15,9 +15,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-# unused: kept so tracing code that wraps ``oracle.minimize`` still loads
-from scipy.optimize import minimize  # noqa: F401
-
 from .model import (
     BargainNotConvergedError,
     BargainingResult,
@@ -51,6 +48,18 @@ _NASH_GRID = 64  # points per start over the 25 units of log total effort
 # Coarse outer grid for the nested leader search; each evaluation runs a
 # full bargaining solve, so the 2001-point default would be wasteful.
 _NESTED_GRID = 41
+
+
+def __getattr__(name):
+    # Exists only for perfbench's tracing hook, which wraps
+    # ``oracle.minimize`` unconditionally; nothing here calls it. Resolving
+    # it lazily keeps scipy out of ``import revshare``. ROADMAP item 6
+    # deletes this once ``spans.install`` tolerates a missing attribute.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
