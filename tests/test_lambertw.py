@@ -132,8 +132,9 @@ def test_tight_tolerance_still_converges():
 @given(x=st.one_of(st.floats(E, 1.7e308),
                    st.floats(1.0, math.log(1.7e308)).map(math.exp)))
 def test_matches_mpmath_up_to_largest_floats(x):
-    # Halley's residual test is unreachable above about 5e57 (the rounding
-    # of w*exp(w) grows with w), where the log-form iteration takes over.
+    # From about 5e57 on, Halley's residual test fails more and more often
+    # (the rounding of w*exp(w) grows with w) and the log-form bisection
+    # takes over.
     with mpmath.workdps(50):
         ref = mpmath.lambertw(x)
         assert abs((lambert_w0(x) - ref) / ref) <= 1e-13
