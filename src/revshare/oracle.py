@@ -1,11 +1,11 @@
 """Brute-force numerical solvers, independent of the closed forms.
 
 Nothing here evaluates Lambert W or any W-based formula: leader problems
-are solved by grid-then-golden-section search, follower problems by
-bounded golden-section, and the bargaining stage by a multistart
-grid-golden-bisection search over log total effort, with the split at each
-total in closed form. When these and the closed forms disagree, the
-numbers computed here are authoritative.
+are solved by a coarse grid, golden section at every local grid maximum
+and a slope-sign bisection, follower problems by bounded golden-section,
+and the bargaining stage by a multistart grid-golden-bisection search over
+log total effort, with the split at each total in closed form. When these
+and the closed forms disagree, the numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ _AGREEMENT_TOL = 1e-6
 _PENALTY = 1e6
 _NASH_GRID = 64  # points per start over the 25 units of log total effort
 # Coarse outer grid for the nested leader search; each evaluation runs a
-# full bargaining solve, so the 2001-point default would be wasteful.
+# full bargaining solve.
 _NESTED_GRID = 41
 
 
@@ -66,7 +66,7 @@ def __getattr__(name):
 class SearchConfig:
     """Budget and tolerances for the grid / golden-section searches."""
 
-    grid_points: int = 2001
+    grid_points: int = 65
     refine_tolerance: float = 1e-10
     multistart_count: int = 8
 
@@ -150,24 +150,53 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     return 0.5 * (lo_b + hi_b)
 
 
+def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: float) -> float:
+    """Bisect the sign of a slope on [lo, hi] down to adjacent floats.
+
+    Value comparisons cannot place a flat top closer than about
+    sqrt(machine epsilon); the slope's sign can. ``rising(x)`` says whether
+    the objective still increases at x. Returns z unchanged unless the
+    slope turns from rising at lo to falling at hi.
+    """
+    if rising(lo) and not rising(hi):
+        while lo < (z := 0.5 * (lo + hi)) < hi:
+            lo, hi = (z, hi) if rising(z) else (lo, z)
+    return z
+
+
 def leader_optimum(objective: Callable[[float], float],
                    config: SearchConfig = DEFAULT_SEARCH) -> tuple[float, float]:
     """Maximize a leader objective over the share interval [0, 1].
 
-    Coarse grid scan followed by golden-section refinement around the best
-    grid cell. Unimodality is not assumed; the grid guards against local
-    traps at the configured resolution.
+    Scans a coarse grid, then refines every local grid maximum by golden
+    section over its two neighbouring cells. The endpoints can count, and a
+    flat run counts at both of its edges, where a peak narrower than a cell
+    can hide: the zero-effort stretch before the narrow profitable window
+    of a market whose r barely exceeds its cost is one. Each refined point
+    is polished by bisecting the sign of the central-difference slope
+    objective(x + h) - objective(x - h), h = 1e-6, within h of it. Returns
+    the best of the refined points and the grid points. Unimodality is not
+    assumed, but a peak narrower than a cell elsewhere can be missed.
     """
     n = config.grid_points
     xs = [k / (n - 1) for k in range(n)]
     vals = [objective(x) for x in xs]
-    k = max(range(n), key=lambda i: vals[i])
-    lo = xs[max(0, k - 1)]
-    hi = xs[min(n - 1, k + 1)]
-    x_star = golden_section_max(objective, lo, hi, tol=config.refine_tolerance)
-    if vals[k] > objective(x_star):
-        x_star = xs[k]
-    return x_star, objective(x_star)
+    h = 1e-6
+
+    def rising(x: float) -> bool:
+        return objective(x + h) > objective(x - h)
+
+    def refine(j: int) -> float:
+        lo, hi = xs[max(0, j - 1)], xs[min(n - 1, j + 1)]
+        x = golden_section_max(objective, lo, hi, tol=config.refine_tolerance)
+        # the slope is only sampled inside [0, 1]
+        return _slope_polish(rising, x, max(x - h, lo, h), min(x + h, hi, 1.0 - h))
+
+    v = [-math.inf, *vals, -math.inf]
+    peaks = [j for j in range(n) if max(v[j], v[j + 2]) <= v[j + 1] > min(v[j], v[j + 2])]
+    found = [(objective(x), x) for x in map(refine, peaks)] + list(zip(vals, xs))
+    value, x_star = max(found, key=lambda t: t[0])
+    return x_star, value
 
 
 class KktRegion(Enum):
@@ -263,11 +292,7 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
 
     def refine(lo, hi):
         z = golden_section_max(merit, lo, hi, tol=1e-7)
-        # value comparisons cannot place a flat top; the slope's sign can
-        lo, hi = max(z - 1e-5, z_lo), min(z + 1e-5, z_hi)
-        if rising(lo) and not rising(hi):
-            while lo < (z := 0.5 * (lo + hi)) < hi:
-                lo, hi = (z, hi) if rising(z) else (lo, z)
+        z = _slope_polish(rising, z, max(z - 1e-5, z_lo), min(z + 1e-5, z_hi))
         return merit(z), z
 
     # a negative d_i pays ISP i to idle: a peak where the other's margin peaks

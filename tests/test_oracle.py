@@ -29,6 +29,7 @@ from revshare.oracle import (
     shapley_brute,
     solve_asymmetric_cooperative,
 )
+from revshare.verify import _leader_objective
 
 from conftest import bisection_w
 
@@ -84,6 +85,46 @@ class TestLeaderOptimum:
             SearchConfig(grid_points=2)
         with pytest.raises(ValueError):
             SearchConfig(refine_tolerance=-1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_ratio=st.floats(math.log(1.05), math.log(1e6)), cost=st.floats(0.05, 5.0),
+       multiplier=st.one_of(st.integers(1, 5).map(float), st.floats(1.0, 5.0)))
+def test_leader_share_matches_mpmath_lambert_w(log_ratio, cost, multiplier):
+    # the verify battery's reduced objective (1 - m*x)*r*log(m*x*r/cost) peaks
+    # at x = 1/(m*W(r*e/cost)); near r = cost its profitable window is
+    # narrower than a grid cell
+    r = cost * math.exp(log_ratio)
+    share, value = leader_optimum(_leader_objective(r, cost, multiplier))
+    with mpmath.workdps(50):
+        exact = float(1 / (multiplier * mpmath.lambertw(mpmath.mpf(r) * mpmath.e / cost)))
+    assert abs(share - exact) <= 1e-10
+    assert value == _leader_objective(r, cost, multiplier)(share)
+
+
+def _dense_leader_scan(objective):
+    # the search leader_optimum ran before its coarse grid: 2001 points,
+    # then golden section on the best cell only
+    n = 2001
+    xs = [k / (n - 1) for k in range(n)]
+    vals = [objective(x) for x in xs]
+    k = max(range(n), key=lambda i: vals[i])
+    x_star = oracle.golden_section_max(objective, xs[max(0, k - 1)], xs[min(n - 1, k + 1)],
+                                       tol=1e-10)
+    if vals[k] > objective(x_star):
+        x_star = xs[k]
+    return x_star, objective(x_star)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(peaks=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.02, 0.5), st.floats(0.1, 1.0)),
+                      min_size=2, max_size=2))
+def test_coarse_leader_search_never_loses_to_the_dense_scan(peaks):
+    def objective(x):
+        return sum(h * math.exp(-0.5 * ((x - mu) / sigma) ** 2) for mu, sigma, h in peaks)
+
+    _, value = leader_optimum(objective)
+    assert value >= _dense_leader_scan(objective)[1] - 1e-12
 
 
 class TestKktClassify:
@@ -354,11 +395,13 @@ class TestSolveAsymmetricCooperative:
         assert result.disagreement == (0.1, 0.2)
 
     def test_binding_surplus_is_a_named_infeasible_bargain(self):
-        # at this share the competitive-disagreement bargain binds ISP2's
-        # surplus, so the stationarity step leaves the feasible region
+        # this disagreement point leaves ISP2 a surplus of about 1.8e-7 at
+        # the bargain, inside the reach of the stationarity step, so the
+        # step leaves the feasible region
         with pytest.raises(InfeasibleBargainError, match="binds: surplus F2="):
             solve_asymmetric_cooperative(
                 6.39990663152031, 0.42244726701719093, 0.7213675589094566,
+                DisagreementPolicy.custom(0.91677026, 1.2316075),
                 beta=0.45057978443260216)
 
 
