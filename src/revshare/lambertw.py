@@ -59,8 +59,11 @@ def _halley(x: float, w: float, config: WConfig) -> float | None:
         denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
         if denom == 0.0 or not math.isfinite(denom):
             return None
-        step = f / denom
-        w -= step
+        w_next = w - f / denom
+        if w_next == w:
+            # a fixed point: every later iteration would repeat this one
+            return None
+        w = w_next
         if not math.isfinite(w):
             return None
     ew = math.exp(w)

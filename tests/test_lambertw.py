@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revshare.lambertw import DEFAULT_W_CONFIG, WConfig, _bisect, lambert_w0, log_x_over_w
+from revshare.lambertw import (
+    DEFAULT_W_CONFIG,
+    WConfig,
+    _bisect,
+    _halley,
+    _initial_guess,
+    lambert_w0,
+    log_x_over_w,
+)
 
 from conftest import bisection_w
 
@@ -145,3 +153,36 @@ def test_bisection_fallback_reaches_largest_floats():
         with mpmath.workdps(50):
             ref = mpmath.lambertw(x)
             assert abs((_bisect(x, DEFAULT_W_CONFIG) - ref) / ref) <= 1e-13
+
+
+def _halley_all_iterations(x, w, config):
+    # Halley's loop as it ran before it stopped at a fixed point: every
+    # iteration, then the residual test once more
+    tol = config.rel_tolerance * max(1.0, abs(x))
+    for _ in range(config.max_iterations):
+        ew = math.exp(w)
+        f = w * ew - x
+        if abs(f) <= tol:
+            return w
+        w1 = w + 1.0
+        if w1 == 0.0:
+            w += 1e-6
+            continue
+        denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
+        if denom == 0.0 or not math.isfinite(denom):
+            return None
+        w -= f / denom
+        if not math.isfinite(w):
+            return None
+    ew = math.exp(w)
+    if abs(w * ew - x) <= tol:
+        return w
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(st.floats(E, 1.7e308),
+                   st.floats(1.0, math.log(1.7e308)).map(math.exp)))
+def test_halley_fixed_point_stop_changes_no_result(x):
+    w0 = _initial_guess(x)
+    assert _halley(x, w0, DEFAULT_W_CONFIG) == _halley_all_iterations(x, w0, DEFAULT_W_CONFIG)
