@@ -36,6 +36,10 @@ __all__ = ["RunSpec", "SweepAxis", "UsageError", "parse_args", "run", "main"]
 _SOLVE_SCENARIOS = tuple(kind.value for kind in closed_form.SOLVERS)
 _COMPARE_SCENARIOS = ("compare-public-private", "compare-coop-comp", "n-scaling")
 _SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
+# Size caps, checked while parsing so an oversized request allocates nothing:
+# a sweep holds every row in memory, and n sets the length of every row.
+MAX_SWEEP_STEPS = 100_000
+MAX_N = 1_000
 
 
 class UsageError(Exception):
@@ -116,6 +120,10 @@ def _parse_sweep(text: str) -> SweepAxis:
         raise UsageError(f"--sweep bounds/steps malformed in {text!r}") from None
     if steps < 2:
         raise UsageError("--sweep needs at least 2 steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise UsageError(f"--sweep allows at most {MAX_SWEEP_STEPS} steps, got {steps}")
+    if param == "n" and not (start <= MAX_N and stop <= MAX_N):
+        raise UsageError(f"--sweep n allows at most n={MAX_N}, got {text!r}")
     return SweepAxis(param=param, start=start, stop=stop, steps=steps)
 
 
@@ -197,6 +205,8 @@ def parse_args(argv: list[str]) -> RunSpec:
         else:
             spec.costs = _parse_costs(str(raw_costs))
     spec.n = pick(ns.n, "n")
+    if spec.n is not None and spec.n > MAX_N:
+        raise UsageError(f"--n allows at most {MAX_N}, got {spec.n}")
     spec.a1_bar = float(pick(ns.a1_bar, "a1_bar", 0.0))
     spec.r2 = pick(ns.r2, "r2")
     branch = pick(ns.branch, "branch")

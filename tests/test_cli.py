@@ -56,6 +56,30 @@ class TestParseArgs:
             with pytest.raises(UsageError, match=flag.replace("-", "[-]")):
                 parse_args(argv)
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--scenario", "public-private", "--r", "5", "--c", "1,2",
+         "--sweep", "r:1:2:1000000000"],
+        ["sweep", "--scenario", "symmetric-competitive", "--r", "5", "--c", "1",
+         "--sweep", "n:1:1e12:3"],
+        ["sweep", "--scenario", "symmetric-competitive", "--r", "5", "--c", "1",
+         "--sweep", "n:1:inf:3"],
+        ["solve", "--scenario", "symmetric-competitive", "--r", "5", "--c", "1",
+         "--n", "1000000000"],
+        ["compare", "--scenario", "n-scaling", "--r", "5", "--c", "1", "--n", "1000000000"],
+    ])
+    def test_size_caps_are_usage_errors_at_parse_time(self, argv, monkeypatch, capsys):
+        # run() is never reached, so nothing the size asks for is allocated
+        monkeypatch.setattr(cli, "run", lambda spec: pytest.fail("parsed past the cap"))
+        assert cli.main(argv) == 1
+        assert "at most" in capsys.readouterr().err
+
+    def test_size_caps_admit_their_limits(self):
+        spec = parse_args(["sweep", "--scenario", "symmetric-competitive", "--r", "5",
+                           "--c", "1", "--n", str(cli.MAX_N), "--sweep",
+                           f"n:1:{cli.MAX_N}:{cli.MAX_SWEEP_STEPS}"])
+        assert spec.n == cli.MAX_N
+        assert spec.sweep_axis.steps == cli.MAX_SWEEP_STEPS
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(UsageError):
             parse_args(["solve", "--scenario", "public-private", "--r", "5",
