@@ -36,7 +36,7 @@ from .compare import (
     compare_public_private,
     n_scaling_report,
 )
-from .lambertw import WConfig, lambert_w0, log_x_over_w
+from .lambertw import lambert_w0, log_x_over_w
 from .model import (
     BargainNotConvergedError,
     BargainingResult,
@@ -49,6 +49,7 @@ from .model import (
     InfeasibleBargainError,
     InfeasibleEffortError,
     MarketParams,
+    NonFiniteOutcomeError,
     ScenarioKind,
     ValidationReport,
     cp_utility,
@@ -59,7 +60,6 @@ from .model import (
 from .oracle import (
     KktCase,
     KktRegion,
-    SearchConfig,
     best_response_effort,
     golden_section_max,
     kkt_classify,

@@ -202,7 +202,6 @@ class ContinuumEquilibrium:
     total_effort: float
     shares: Contract
     split_parameter: float
-    canonical: bool
     degenerate: bool
 
     @property
@@ -238,7 +237,7 @@ def solve_asymmetric_competitive(r: float, c1: float, c2: float) -> ContinuumEqu
         return ContinuumEquilibrium(
             r=r, c1=c1, c2=c2, total_effort=0.0,
             shares=Contract(shares=(0.0, 0.0)),
-            split_parameter=c1 / k, canonical=True, degenerate=True,
+            split_parameter=c1 / k, degenerate=True,
         )
     w = lambert_w0(r * E / k)
     b1 = c1 / (k * w)
@@ -247,7 +246,7 @@ def solve_asymmetric_competitive(r: float, c1: float, c2: float) -> ContinuumEqu
     return ContinuumEquilibrium(
         r=r, c1=c1, c2=c2, total_effort=total,
         shares=Contract(shares=(b1, b2)),
-        split_parameter=c1 / k, canonical=True, degenerate=False,
+        split_parameter=c1 / k, degenerate=False,
     )
 
 

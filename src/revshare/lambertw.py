@@ -7,29 +7,14 @@ provided; the secondary branch and complex arguments are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["WConfig", "lambert_w0", "log_x_over_w", "BRANCH_POINT"]
+__all__ = ["lambert_w0", "log_x_over_w", "BRANCH_POINT"]
 
 # Branch point of the principal branch: W0 is real for x >= -1/e.
 BRANCH_POINT = -math.exp(-1.0)
 
-
-@dataclass(frozen=True)
-class WConfig:
-    """Convergence settings for the W iterations."""
-
-    rel_tolerance: float = 1e-14
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.rel_tolerance <= 0.0:
-            raise ValueError("rel_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-DEFAULT_W_CONFIG = WConfig()
+_REL_TOLERANCE = 1e-14
+_MAX_ITERATIONS = 100
 
 
 def _initial_guess(x: float) -> float:
@@ -44,10 +29,11 @@ def _initial_guess(x: float) -> float:
     return x
 
 
-def _halley(x: float, w: float, config: WConfig) -> float | None:
+def _halley(x: float, w: float) -> float | None:
     """Halley iteration for w*exp(w) = x; None if it fails to settle."""
-    tol = config.rel_tolerance * max(1.0, abs(x))
-    for _ in range(config.max_iterations):
+    tol = _REL_TOLERANCE * max(1.0, abs(x))
+    w_prev = math.nan
+    for _ in range(_MAX_ITERATIONS):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= tol:
@@ -60,10 +46,10 @@ def _halley(x: float, w: float, config: WConfig) -> float | None:
         if denom == 0.0 or not math.isfinite(denom):
             return None
         w_next = w - f / denom
-        if w_next == w:
-            # a fixed point: every later iteration would repeat this one
+        if w_next == w or w_next == w_prev:
+            # a fixed point or a 2-cycle: every later iteration repeats one
             return None
-        w = w_next
+        w_prev, w = w, w_next
         if not math.isfinite(w):
             return None
     ew = math.exp(w)
@@ -72,16 +58,15 @@ def _halley(x: float, w: float, config: WConfig) -> float | None:
     return None
 
 
-def _bisect(x: float, config: WConfig) -> float:
+def _bisect(x: float) -> float:
     """Bracketing fallback.
 
     Above e it brackets w + log(w) = log(x), the form Fritsch, Shafer &
     Crowley iterate on ("Solution of the transcendental equation
     w*exp(w) = x", CACM 16(2), 1973), and stops on a relative step of
-    rel_tolerance. That form stays well
-    conditioned where the computed w*exp(w), whose relative error is about w
-    machine epsilons, makes Halley's residual test fail. Elsewhere it stops
-    on the residual post-condition.
+    1e-14. That form stays well conditioned where the computed w*exp(w),
+    whose relative error is about w machine epsilons, makes Halley's
+    residual test fail. Elsewhere it stops on the residual post-condition.
     """
     large = x > math.e
     lx = math.log(x) if large else 0.0
@@ -91,7 +76,7 @@ def _bisect(x: float, config: WConfig) -> float:
         lo, hi = 0.0, max(1.0, math.log(max(x, 1.0)) + 1.0)
     else:
         lo, hi = -1.0, 0.0
-    tol = config.rel_tolerance * max(1.0, abs(x))
+    tol = _REL_TOLERANCE * max(1.0, abs(x))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if (mid + math.log(mid) <= lx) if large else (mid * math.exp(mid) - x <= 0.0):
@@ -100,22 +85,22 @@ def _bisect(x: float, config: WConfig) -> float:
             hi = mid
         w = 0.5 * (lo + hi)
         if large:
-            if hi - lo <= config.rel_tolerance * lo:
+            if hi - lo <= _REL_TOLERANCE * lo:
                 return w
         elif abs(w * math.exp(w) - x) <= tol:
             return w
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x!r}")
 
 
-def lambert_w0(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
+def lambert_w0(x: float) -> float:
     """Evaluate the principal branch W0(x) for real x >= -1/e.
 
     Uses Halley's method (Corless, Gonnet, Hare, Jeffrey, Knuth, "On the
     Lambert W Function", Adv. Comput. Math. 5, 1996) started from
     log(x) - log(log(x)) for x > e and from x itself on the small-argument
-    range. The returned w satisfies |w*exp(w) - x| <= rel_tolerance *
-    max(1, |x|) wherever rounding allows. Where Halley fails, bisection takes
-    over; above e it stops on a relative step of rel_tolerance instead. The
+    range. The returned w satisfies |w*exp(w) - x| <= 1e-14 * max(1, |x|)
+    wherever rounding allows. Where Halley fails, bisection takes over;
+    above e it stops on a relative step of 1e-14 instead. The
     residual test first fails near x = 5e57 (w = 128) and fails more often as
     w grows: for about a quarter of log-uniform arguments in [1e57, 1e80], a
     half in [1e80, 1e160] and three quarters in [1e160, 1e300].
@@ -136,13 +121,13 @@ def lambert_w0(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
         return 0.0
     if x <= BRANCH_POINT + 1e-15:
         return -1.0
-    w = _halley(x, _initial_guess(x), config)
+    w = _halley(x, _initial_guess(x))
     if w is None:
-        w = _bisect(x, config)
+        w = _bisect(x)
     return w
 
 
-def log_x_over_w(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
+def log_x_over_w(x: float) -> float:
     """log(x / W0(x)) for x > 0; equals W0(x) identically.
 
     Exposed as a named helper because the equilibrium demand expressions
@@ -150,4 +135,4 @@ def log_x_over_w(x: float, config: WConfig = DEFAULT_W_CONFIG) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"log_x_over_w requires x > 0, got {x!r}")
-    return math.log(x / lambert_w0(x, config))
+    return math.log(x / lambert_w0(x))

@@ -25,6 +25,7 @@ __all__ = [
     "InfeasibleEffortError",
     "InfeasibleBargainError",
     "BargainNotConvergedError",
+    "NonFiniteOutcomeError",
     "demand",
     "cp_utility",
     "isp_utility",
@@ -53,6 +54,10 @@ class InfeasibleBargainError(Exception):
 
 class BargainNotConvergedError(ArithmeticError):
     """Raised when the starts of a Nash-bargaining search disagree."""
+
+
+class NonFiniteOutcomeError(ArithmeticError):
+    """Raised when a figure of a solved outcome overflows or is undefined."""
 
 
 class Branch(str, Enum):
@@ -201,6 +206,14 @@ class EquilibriumOutcome:
 
     def __post_init__(self):
         object.__setattr__(self, "isp_utilities", tuple(float(u) for u in self.isp_utilities))
+        figures = (self.demand, self.cp_utility, self.total_effort, self.foc_residual,
+                   *self.efforts.efforts, *self.isp_utilities)
+        if not all(map(math.isfinite, figures)):
+            names = ("demand", "cp_utility", "total_effort", "foc_residual",
+                     *(f"effort of ISP {i}" for i in range(1, len(self.efforts.efforts) + 1)),
+                     *(f"utility of ISP {i}" for i in range(1, len(self.isp_utilities) + 1)))
+            name, value = next((n, v) for n, v in zip(names, figures) if not math.isfinite(v))
+            raise NonFiniteOutcomeError(f"outcome has a non-finite {name}: {value!r}")
         if abs(self.total_effort - self.efforts.total) > _ATOL * max(1.0, self.efforts.total):
             raise ValueError("total_effort disagrees with the effort profile")
         if abs(self.demand - math.log(self.total_effort + 1.0)) > 1e-12 * max(1.0, abs(self.demand)):

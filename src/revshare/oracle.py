@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -26,7 +26,6 @@ from .model import (
 )
 
 __all__ = [
-    "SearchConfig",
     "KktRegion",
     "KktCase",
     "golden_section_max",
@@ -40,6 +39,11 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Leader grid on [0, 1]; the golden-section and bisection stop of the
+# leader and best-response searches; bargaining starts per Nash solve.
+_LEADER_GRID = 65
+_REFINE_TOL = 1e-10
+_NASH_STARTS = 8
 # Independent starts must land on the same maximizer for the bargaining
 # stage to count as converged (the solution is unique when it exists).
 _AGREEMENT_TOL = 1e-6
@@ -60,26 +64,6 @@ def __getattr__(name):
 
         return minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget and tolerances for the grid / golden-section searches."""
-
-    grid_points: int = 65
-    refine_tolerance: float = 1e-10
-    multistart_count: int = 8
-
-    def __post_init__(self):
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
-        if self.refine_tolerance <= 0.0:
-            raise ValueError("refine_tolerance must be positive")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be at least 1")
-
-
-DEFAULT_SEARCH = SearchConfig()
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
@@ -109,8 +93,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return best[1]
 
 
-def best_response_effort(beta_i: float, r: float, c_i: float, others_total: float,
-                         config: SearchConfig = DEFAULT_SEARCH) -> float:
+def best_response_effort(beta_i: float, r: float, c_i: float, others_total: float) -> float:
     """ISP i's optimal effort against the others' total, found numerically.
 
     Maximizes beta_i*r*log(others + a + 1) - c_i*a over a >= 0 by
@@ -135,13 +118,13 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     if slope(0.0) <= 0.0:
         return 0.0
     hi = beta_i * r / c_i
-    a_star = golden_section_max(payoff, 0.0, hi, tol=max(config.refine_tolerance, 1e-6))
+    a_star = golden_section_max(payoff, 0.0, hi, tol=1e-6)
     # concave payoff: the slope crosses zero exactly once in (0, hi)
     lo_b = max(0.0, a_star - 1e-3)
     hi_b = min(hi, a_star + 1e-3)
     if slope(lo_b) <= 0.0 or slope(hi_b) >= 0.0:
         lo_b, hi_b = 0.0, hi
-    while hi_b - lo_b > config.refine_tolerance:
+    while hi_b - lo_b > _REFINE_TOL:
         mid = 0.5 * (lo_b + hi_b)
         if slope(mid) > 0.0:
             lo_b = mid
@@ -164,8 +147,7 @@ def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: floa
     return z
 
 
-def leader_optimum(objective: Callable[[float], float],
-                   config: SearchConfig = DEFAULT_SEARCH) -> tuple[float, float]:
+def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
     """Maximize a leader objective over the share interval [0, 1].
 
     Scans a coarse grid, then refines every local grid maximum by golden
@@ -178,7 +160,7 @@ def leader_optimum(objective: Callable[[float], float],
     the best of the refined points and the grid points. Unimodality is not
     assumed, but a peak narrower than a cell elsewhere can be missed.
     """
-    n = config.grid_points
+    n = _LEADER_GRID
     xs = [k / (n - 1) for k in range(n)]
     vals = [objective(x) for x in xs]
     h = 1e-6
@@ -188,7 +170,7 @@ def leader_optimum(objective: Callable[[float], float],
 
     def refine(j: int) -> float:
         lo, hi = xs[max(0, j - 1)], xs[min(n - 1, j + 1)]
-        x = golden_section_max(objective, lo, hi, tol=config.refine_tolerance)
+        x = golden_section_max(objective, lo, hi, tol=_REFINE_TOL)
         # the slope is only sampled inside [0, 1]
         return _slope_polish(rising, x, max(x - h, lo, h), min(x + h, hi, 1.0 - h))
 
@@ -243,14 +225,14 @@ def kkt_classify(beta1: float, beta2: float, c1: float, c2: float) -> KktCase:
 
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
                           d1: float = 0.0, d2: float = 0.0,
-                          config: SearchConfig = DEFAULT_SEARCH) -> BargainingResult:
+                          starts: int = _NASH_STARTS) -> BargainingResult:
     """Maximize the Nash product of the two ISPs' surpluses over efforts.
 
     F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
     fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
     (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
     equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. Each of
-    ``config.multistart_count`` phase-shifted grids over log T in
+    ``starts`` phase-shifted grids over log T in
     [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2), refines every local
     maximum by golden section (a penalty outside positive surpluses leads
     into a narrow feasible window), then by bisecting the analytic slope.
@@ -305,8 +287,7 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         return point(max([refine(zs[j - 1], zs[j + 1]) for j in range(1, _NASH_GRID + 1)
                           if v[j - 1] < v[j] >= v[j + 1]] + idle)[1])
 
-    count = config.multistart_count
-    found = [p for p in map(search, ((k + 0.5) / count for k in range(count)))
+    found = [p for p in map(search, ((k + 0.5) / starts for k in range(starts)))
              if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
@@ -320,14 +301,13 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         share_split=(beta * s, beta * (1.0 - s)),
         surpluses=(f1, f2),
         disagreement=(d1, d2),
-        converged=len(found) == count and agreement <= _AGREEMENT_TOL,
+        converged=len(found) == starts and agreement <= _AGREEMENT_TOL,
         multistart_agreement=agreement,
     )
 
 
 def regulated_competitive_utilities_numeric(
-        r: float, c1: float, c2: float,
-        config: SearchConfig = DEFAULT_SEARCH) -> tuple[float, float]:
+        r: float, c1: float, c2: float) -> tuple[float, float]:
     """Per-ISP utilities of the regulated competitive benchmark, derived
     entirely from searches: total share u from the leader scan over the
     searched aggregate response, split proportional to cost.
@@ -335,11 +315,11 @@ def regulated_competitive_utilities_numeric(
     k = c1 + c2
 
     def objective(u: float) -> float:
-        total = best_response_effort(u, r, k, 0.0, config)
+        total = best_response_effort(u, r, k, 0.0)
         return (1.0 - u) * r * math.log(total + 1.0)
 
-    u_star, _ = leader_optimum(objective, config)
-    total = best_response_effort(u_star, r, k, 0.0, config)
+    u_star, _ = leader_optimum(objective)
+    total = best_response_effort(u_star, r, k, 0.0)
     if total <= 0.0:
         raise InfeasibleBargainError(
             "regulated competitive benchmark is degenerate for these parameters"
@@ -356,7 +336,6 @@ def regulated_competitive_utilities_numeric(
 def solve_asymmetric_cooperative(
         r: float, c1: float, c2: float,
         disagreement: DisagreementPolicy = DisagreementPolicy.regulated_competitive(),
-        config: SearchConfig = DEFAULT_SEARCH,
         beta: float | None = None) -> tuple[EquilibriumOutcome, BargainingResult]:
     """Nested numerical solve of the cooperative market with bargained efforts.
 
@@ -374,14 +353,13 @@ def solve_asymmetric_cooperative(
     """
     d1, d2 = (disagreement.d1, disagreement.d2) if disagreement.kind == "custom" else (0.0, 0.0)
     if disagreement.kind == "regulated-competitive":
-        d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2, config)
-    scan_config = replace(config, multistart_count=min(config.multistart_count, 4))
+        d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2)
 
     def cp_value(b: float) -> float:
         if not 1e-6 < b < 1.0 - 1e-12:
             return -math.inf
         try:
-            inner = nash_product_maximize(r, c1, c2, b, d1, d2, scan_config)
+            inner = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4)
         except InfeasibleBargainError:
             return -math.inf
         return (1.0 - b) * r * math.log(inner.efforts.total + 1.0)
@@ -412,7 +390,7 @@ def solve_asymmetric_cooperative(
     else:
         beta_star = beta
 
-    result = nash_product_maximize(r, c1, c2, beta_star, d1, d2, config)
+    result = nash_product_maximize(r, c1, c2, beta_star, d1, d2)
     if not result.converged:
         raise BargainNotConvergedError(f"bargain at beta={beta_star:.6g} did not converge: "
                                        f"multistart spread {result.multistart_agreement:.3g}")

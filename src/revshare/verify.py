@@ -28,8 +28,6 @@ from .model import (
 
 __all__ = ["CheckResult", "run_checks", "scenario_gap_battery", "draw_market"]
 
-E = math.e
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -57,55 +55,52 @@ def _leader_objective(r: float, cost: float, multiplier: float) -> Callable[[flo
     return objective
 
 
-def scenario_gap_battery(r: float, c1: float, c2: float, n: int,
-                         config: oracle.SearchConfig | None = None,
-                         ) -> dict[str, tuple[float, float]]:
+def scenario_gap_battery(r: float, c1: float, c2: float, n: int) -> dict[str, tuple[float, float]]:
     """Closed-form-vs-oracle gaps per scenario: (share gap, effort gap).
 
     The share gap compares the closed-form share with the grid/golden
     leader optimum of the reduced objective; the effort gap compares each
     equilibrium effort with the golden-section best response it should be.
     """
-    cfg = config or oracle.DEFAULT_SEARCH
     gaps: dict[str, tuple[float, float]] = {}
     k = c1 + c2
 
     out = closed_form.solve_symmetric_competitive(r, c1, n)
     if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, n), cfg)
+        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, n))
         total_share = n * out.contract.shares[0]
         effort_gap = abs(
-            oracle.best_response_effort(total_share, r, c1, 0.0, cfg) - out.total_effort
+            oracle.best_response_effort(total_share, r, c1, 0.0) - out.total_effort
         )
         gaps["symmetric-competitive"] = (abs(beta_star - out.contract.shares[0]), effort_gap)
 
     out = closed_form.solve_symmetric_cooperative(r, c1, n)
     if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, 1.0), cfg)
+        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, 1.0))
         effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, c1, 0.0, cfg)
+            oracle.best_response_effort(out.contract.joint_share, r, c1, 0.0)
             - out.total_effort
         )
         gaps["symmetric-cooperative"] = (abs(beta_star - out.contract.joint_share), effort_gap)
 
     out = closed_form.solve_public_private(r, c1, c2)
     if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c2, 1.0), cfg)
+        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c2, 1.0))
         beta2 = out.contract.shares[1]
         effort_gap = abs(
-            oracle.best_response_effort(beta2, r, c2, 0.0, cfg) - out.efforts.efforts[1]
+            oracle.best_response_effort(beta2, r, c2, 0.0) - out.efforts.efforts[1]
         )
         gaps["public-private"] = (abs(beta_star - beta2), effort_gap)
 
     cont = closed_form.solve_asymmetric_competitive(r, c1, c2)
     if not cont.degenerate:
-        u_star, _ = oracle.leader_optimum(_leader_objective(r, k, 1.0), cfg)
+        u_star, _ = oracle.leader_optimum(_leader_objective(r, k, 1.0))
         share_gap = abs(u_star - cont.shares.total_share)
         outcome = cont.outcome_at(cont.split_parameter)
         effort_gap = 0.0
         for i, ci in enumerate((c1, c2)):
             others = outcome.total_effort - outcome.efforts.efforts[i]
-            br = oracle.best_response_effort(outcome.contract.shares[i], r, ci, others, cfg)
+            br = oracle.best_response_effort(outcome.contract.shares[i], r, ci, others)
             effort_gap = max(effort_gap, abs(br - outcome.efforts.efforts[i]))
         gaps["asymmetric-competitive"] = (share_gap, effort_gap)
 
@@ -113,9 +108,9 @@ def scenario_gap_battery(r: float, c1: float, c2: float, n: int,
         out = closed_form.solve_regulated_cooperative(r, c1, c2, branch)
         if out.degenerate:
             continue
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, cb, 1.0), cfg)
+        beta_star, _ = oracle.leader_optimum(_leader_objective(r, cb, 1.0))
         effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, cb, 0.0, cfg)
+            oracle.best_response_effort(out.contract.joint_share, r, cb, 0.0)
             - out.total_effort
         )
         gaps[f"regulated-cooperative-{branch.value}"] = (
@@ -126,14 +121,14 @@ def scenario_gap_battery(r: float, c1: float, c2: float, n: int,
         a1_bar = 0.3 * budget
         out = closed_form.solve_fixed_public_effort_coop(r, c1, c2, a1_bar)
         effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, c2, a1_bar, cfg)
+            oracle.best_response_effort(out.contract.joint_share, r, c2, a1_bar)
             - out.efforts.efforts[1]
         )
         gaps["fixed-public-effort-cooperative"] = (0.0, effort_gap)
 
         out = closed_form.solve_public_private_regulated(r, c1, c2, a1_bar)
         effort_gap = abs(
-            oracle.best_response_effort(out.contract.shares[1], r, c2, a1_bar, cfg)
+            oracle.best_response_effort(out.contract.shares[1], r, c2, a1_bar)
             - out.efforts.efforts[1]
         )
         gaps["public-private-regulated"] = (0.0, effort_gap)

@@ -175,6 +175,15 @@ class TestSolveCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["residuals"]["foc"] <= 1e-9
 
+    def test_non_finite_figure_exits_two(self, capsys):
+        # the regulated split puts the effort on the costly ISP, whose cost
+        # times effort overflows
+        code, out, err = _run(capsys, ["solve", "--scenario", "regulated-cooperative",
+                                       "--r", "5.627606837921932e70", "--c",
+                                       "4.2840227920486624e186,1.2558238068085856e-194"])
+        assert (code, out) == (2, "")
+        assert "non-finite utility of ISP 1" in err
+
     def test_usage_failure_exits_one(self, capsys):
         code, _, err = _run(capsys, ["solve", "--scenario", "public-private"])
         assert code == 1
@@ -260,6 +269,15 @@ class TestSweepCommand:
         for point, line in zip(points, lines):
             flat = dict(cli._flatten(point))
             assert [cli._fmt(flat.get(key)) for key in keys] == line.split(",")
+
+
+class TestVerifyCommand:
+    def test_fast_battery_trims_sample_counts(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "--fast"])
+        assert code == 0
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 13
+        assert "2000 samples" in out
+        assert "20 draws" in out
 
 
 class TestCompareCommand:

@@ -6,7 +6,9 @@ import pytest
 from revshare.model import (
     Contract,
     EffortProfile,
+    EquilibriumOutcome,
     MarketParams,
+    NonFiniteOutcomeError,
     ScenarioKind,
     cp_utility,
     demand,
@@ -191,3 +193,17 @@ def test_contract_validation():
 def test_effort_profile_rejects_negative():
     with pytest.raises(ValueError):
         EffortProfile((-0.5, 1.0))
+
+
+def test_outcome_rejects_non_finite_figures():
+    def outcome(isp_utilities):
+        return EquilibriumOutcome(
+            contract=Contract(shares=(0.1, 0.2)), efforts=EffortProfile((1.0, 2.0)),
+            demand=math.log(4.0), cp_utility=1.0, isp_utilities=isp_utilities,
+            total_effort=3.0, foc_residual=0.0, degenerate=False)
+
+    assert outcome((0.5, 0.25)).isp_utilities == (0.5, 0.25)
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(NonFiniteOutcomeError, match="utility of ISP 2"):
+            outcome((0.5, bad))
+    assert issubclass(NonFiniteOutcomeError, ArithmeticError)

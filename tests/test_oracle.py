@@ -20,7 +20,6 @@ from revshare.model import (
 )
 from revshare.oracle import (
     KktRegion,
-    SearchConfig,
     best_response_effort,
     kkt_classify,
     leader_optimum,
@@ -79,12 +78,6 @@ class TestLeaderOptimum:
         beta, value = leader_optimum(lambda b: b)
         assert beta == pytest.approx(1.0, abs=1e-9)
         assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(grid_points=2)
-        with pytest.raises(ValueError):
-            SearchConfig(refine_tolerance=-1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
