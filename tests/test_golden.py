@@ -1,7 +1,11 @@
-"""Byte-for-byte pins of the README CLI examples.
+"""Byte-for-byte pins of the README CLI examples and of every solver.
 
 Each example runs in-process through ``cli.main``; its stdout must equal
-the stored golden file and its exit code the listed one. The
+the stored golden file and its exit code the listed one. The README
+examples come first. The rows after them pin one ``solve`` of each
+scenario the README leaves out (one with a degenerate second CP) and the
+``compare-coop-comp`` and ``n-scaling`` reports, whose coop-comp rows
+print the nested oracle outcome's utilities. The
 ``compare-coop-comp --sweep ... --plot`` example is left out: it runs for
 tens of seconds and writes a plot file.
 """
@@ -30,6 +34,26 @@ EXAMPLES = {
     "verify": (0, "verify"),
     "solve-asymmetric-competitive-degenerate": (
         0, "solve --scenario asymmetric-competitive --r 1 --c 2,3"),
+    "solve-public-private": (
+        0, "solve --scenario public-private --r 10 --c 0.5,1.0"),
+    "solve-public-private-regulated": (
+        0, "solve --scenario public-private-regulated --r 10 --c 0.5,1.0 --a1-bar 0.5"),
+    "solve-symmetric-cooperative": (
+        0, "solve --scenario symmetric-cooperative --r 10 --c 0.5 --n 3"),
+    "solve-regulated-competitive-csv": (
+        0, "solve --scenario regulated-competitive --r 10 --c 0.5,1.0 --format csv"),
+    "solve-regulated-cooperative-isp2": (
+        0, "solve --scenario regulated-cooperative --r 10 --c 0.5,1.0 --branch isp2"),
+    "solve-fixed-public-effort-cooperative": (
+        0, "solve --scenario fixed-public-effort-cooperative --r 10 --c 0.5,1.0 --a1-bar 0.5"),
+    "solve-multi-cp-competitive": (
+        0, "solve --scenario multi-cp-competitive --r 10 --c 0.5,1.0 --r2 4"),
+    "solve-multi-cp-cooperative-json": (
+        0, "solve --scenario multi-cp-cooperative --r 10 --c 0.5,1.0 --r2 0.4 --format json"),
+    "compare-coop-comp": (
+        0, "compare --scenario compare-coop-comp --r 10 --c 0.5,1.0"),
+    "compare-n-scaling": (
+        0, "compare --scenario n-scaling --r 10 --c 0.5"),
 }
 
 
