@@ -54,35 +54,18 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive, got {v!r}")
 
 
-def _zero_outcome(n_isps: int, joint: bool = False) -> EquilibriumOutcome:
-    return EquilibriumOutcome(
-        contract=Contract(shares=(0.0,) * n_isps, joint_share=0.0 if joint else None),
-        efforts=EffortProfile((0.0,) * n_isps),
-        demand=0.0,
-        cp_utility=0.0,
-        isp_utilities=(0.0,) * n_isps,
-        total_effort=0.0,
-        foc_residual=0.0,
-        degenerate=True,
-    )
-
-
 def _outcome(r, costs, shares, efforts, foc_residual, joint_share=None,
-             matches_competitive_total=None) -> EquilibriumOutcome:
-    total = sum(efforts)
-    d = math.log(total + 1.0)
-    total_share = joint_share if joint_share is not None else sum(shares)
+             matches_competitive_total=None, degenerate=False) -> EquilibriumOutcome:
     return EquilibriumOutcome(
         contract=Contract(shares=tuple(shares), joint_share=joint_share),
-        efforts=EffortProfile(tuple(efforts)),
-        demand=d,
-        cp_utility=(1.0 - total_share) * r * d,
-        isp_utilities=tuple(b * r * d - c * a for b, c, a in zip(shares, costs, efforts)),
-        total_effort=total,
-        foc_residual=foc_residual,
-        degenerate=False,
-        matches_competitive_total=matches_competitive_total,
-    )
+        efforts=EffortProfile(tuple(efforts)), r=r, costs=costs, foc_residual=foc_residual,
+        degenerate=degenerate, matches_competitive_total=matches_competitive_total)
+
+
+def _zero_outcome(r, costs, joint: bool = False) -> EquilibriumOutcome:
+    zeros = (0.0,) * len(costs)
+    return _outcome(r, costs, zeros, zeros, 0.0, joint_share=0.0 if joint else None,
+                    degenerate=True)
 
 
 def solve_public_private(r: float, c1: float, c2: float) -> EquilibriumOutcome:
@@ -96,7 +79,7 @@ def solve_public_private(r: float, c1: float, c2: float) -> EquilibriumOutcome:
     _require_positive(r=r, c1=c1, c2=c2)
     k = pin_cost(ScenarioKind.PUBLIC_PRIVATE, (c1, c2))
     if r <= k:
-        return _zero_outcome(2)
+        return _zero_outcome(r, (c1, c2))
     w = lambert_w0(r * E / k)
     beta2 = 1.0 / w
     a2 = r / (k * w) - 1.0
@@ -119,7 +102,7 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
         raise ValueError(f"imposed public effort must be non-negative, got {a1_bar!r}")
     k = pin_cost(ScenarioKind.PUBLIC_PRIVATE_REGULATED, (c1, c2))
     if r <= k:
-        return _zero_outcome(2)
+        return _zero_outcome(r, (c1, c2))
     w = lambert_w0(r * E / k)
     beta2 = 1.0 / w
     a2 = r / (k * w) - a1_bar - 1.0
@@ -152,7 +135,7 @@ def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcom
         raise ValueError(f"need at least one ISP, got n={n!r}")
     k = pin_cost(ScenarioKind.SYMMETRIC_COMPETITIVE, (c,))
     if r <= k:
-        return _zero_outcome(n)
+        return _zero_outcome(r, (c,) * n)
     w = lambert_w0(r * E / k)
     beta = 1.0 / (n * w)
     a = beta * r / c - 1.0 / n
@@ -175,7 +158,7 @@ def solve_symmetric_cooperative(r: float, c: float, n: int) -> EquilibriumOutcom
         raise ValueError(f"need at least one ISP, got n={n!r}")
     k = pin_cost(ScenarioKind.SYMMETRIC_COOPERATIVE, (c,))
     if r <= k:
-        return _zero_outcome(n, joint=True)
+        return _zero_outcome(r, (c,) * n, joint=True)
     w = lambert_w0(r * E / k)
     beta = 1.0 / w
     a = (beta * r / c - 1.0) / n
@@ -213,7 +196,7 @@ class ContinuumEquilibrium:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"split parameter must lie in [0, 1], got {t!r}")
         if self.degenerate:
-            return _zero_outcome(2)
+            return _zero_outcome(self.r, (self.c1, self.c2))
         a1 = t * self.total_effort
         a2 = self.total_effort - a1
         b1, b2 = self.shares.shares
@@ -273,7 +256,7 @@ def solve_regulated_cooperative(r: float, c1: float, c2: float,
     _require_positive(r=r, c1=c1, c2=c2)
     cb = pin_cost(ScenarioKind.REGULATED_COOPERATIVE, (c1, c2), branch)
     if r <= cb:
-        return _zero_outcome(2, joint=True)
+        return _zero_outcome(r, (c1, c2), joint=True)
     k = c1 + c2
     w = lambert_w0(r * E / cb)
     beta = 1.0 / w
@@ -314,7 +297,7 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
         raise ValueError(f"fixed public effort must be non-negative, got {a1_bar!r}")
     k = pin_cost(ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE, (c1, c2))
     if r <= k:
-        return _zero_outcome(2, joint=True)
+        return _zero_outcome(r, (c1, c2), joint=True)
     w = lambert_w0(r * E / k)
     beta = 1.0 / w
     total = r / (k * w) - 1.0

@@ -8,7 +8,7 @@ since the W-based closed forms are only consistent with base e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
@@ -186,26 +186,34 @@ class EffortProfile:
 class EquilibriumOutcome:
     """A solved scenario: contract, efforts, and derived quantities.
 
-    ``foc_residual`` is the largest absolute violation of the scenario's
-    first-order conditions at the returned point. ``degenerate`` marks the
-    zero-share, zero-effort equilibrium that applies when r is below the
-    scenario's cost threshold. ``matches_competitive_total`` is only set by
-    the fixed-public-effort cooperative solve, where it records that total
-    effort coincides with the one-public-ISP competitive total.
+    Total effort, demand and the utilities are derived from the contract,
+    efforts, rate ``r`` and ISP ``costs``, as ``cp_utility`` and
+    ``isp_utility`` define them. ``foc_residual`` is the largest absolute
+    violation of the scenario's first-order conditions at the returned
+    point. ``degenerate`` marks the zero-share, zero-effort equilibrium that
+    applies when r is below the scenario's cost threshold.
+    ``matches_competitive_total`` is only set by the fixed-public-effort
+    cooperative solve, where it records that total effort coincides with
+    the one-public-ISP competitive total.
     """
 
     contract: Contract
     efforts: EffortProfile
-    demand: float
-    cp_utility: float
-    isp_utilities: tuple[float, ...]
-    total_effort: float
+    r: float
+    costs: tuple[float, ...]
     foc_residual: float
     degenerate: bool
     matches_competitive_total: bool | None = None
+    total_effort: float = field(init=False)
+    demand: float = field(init=False)
+    cp_utility: float = field(init=False)
+    isp_utilities: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "isp_utilities", tuple(float(u) for u in self.isp_utilities))
+        derived = _payoffs(self.r, self.costs, self.contract, self.efforts)
+        for name, value in zip(("total_effort", "demand", "cp_utility", "isp_utilities"),
+                               derived):
+            object.__setattr__(self, name, value)
         figures = (self.demand, self.cp_utility, self.total_effort, self.foc_residual,
                    *self.efforts.efforts, *self.isp_utilities)
         if not all(map(math.isfinite, figures)):
@@ -214,10 +222,6 @@ class EquilibriumOutcome:
                      *(f"utility of ISP {i}" for i in range(1, len(self.isp_utilities) + 1)))
             name, value = next((n, v) for n, v in zip(names, figures) if not math.isfinite(v))
             raise NonFiniteOutcomeError(f"outcome has a non-finite {name}: {value!r}")
-        if abs(self.total_effort - self.efforts.total) > _ATOL * max(1.0, self.efforts.total):
-            raise ValueError("total_effort disagrees with the effort profile")
-        if abs(self.demand - math.log(self.total_effort + 1.0)) > 1e-12 * max(1.0, abs(self.demand)):
-            raise ValueError("demand disagrees with log(total effort + 1)")
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,17 @@ def demand(efforts: EffortProfile) -> float:
     return math.log(efforts.total + 1.0)
 
 
+def _payoffs(r: float, costs: tuple[float, ...], contract: Contract,
+             efforts: EffortProfile) -> tuple[float, float, float, tuple[float, ...]]:
+    """(total effort, demand, CP utility, ISP utilities): the CP keeps
+    (1 - total share) * r * demand and ISP i nets beta_i * r * demand - c_i * a_i.
+    A joint contract's utilities use its per-ISP split."""
+    total = efforts.total
+    d = math.log(total + 1.0)
+    return (total, d, (1.0 - contract.total_share) * r * d,
+            tuple(b * r * d - c * a for b, c, a in zip(contract.shares, costs, efforts.efforts)))
+
+
 def cp_utility(params: MarketParams, contract: Contract, efforts: EffortProfile) -> float:
     """CP's retained revenue (1 - total share) * r * demand."""
     if contract.joint_share is None and len(contract.shares) != len(efforts.efforts):
@@ -298,7 +313,7 @@ def cp_utility(params: MarketParams, contract: Contract, efforts: EffortProfile)
             f"contract has {len(contract.shares)} shares but profile has "
             f"{len(efforts.efforts)} efforts"
         )
-    return (1.0 - contract.total_share) * params.r * demand(efforts)
+    return _payoffs(params.r, params.costs, contract, efforts)[2]
 
 
 def isp_utility(params: MarketParams, i: int, contract: Contract, efforts: EffortProfile) -> float:
@@ -309,7 +324,7 @@ def isp_utility(params: MarketParams, i: int, contract: Contract, efforts: Effor
         raise ValueError("per-ISP share undefined: joint contract carries no split")
     if i >= len(params.costs):
         raise IndexError(f"ISP index {i} out of range for {len(params.costs)} costs")
-    return contract.shares[i] * params.r * demand(efforts) - params.costs[i] * efforts.efforts[i]
+    return _payoffs(params.r, params.costs, contract, efforts)[3][i]
 
 
 def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:

@@ -395,9 +395,6 @@ def solve_asymmetric_cooperative(
         raise BargainNotConvergedError(f"bargain at beta={beta_star:.6g} did not converge: "
                                        f"multistart spread {result.multistart_agreement:.3g}")
     a1, a2 = result.efforts.efforts
-    total = a1 + a2
-    d = math.log(total + 1.0)
-    shares = result.share_split
 
     def log_product(x, y):
         rev = beta_star * r * math.log(x + y + 1.0) / (x + y)
@@ -413,16 +410,8 @@ def solve_asymmetric_cooperative(
         abs(log_product(a1, a2 + h) - log_product(a1, a2 - h)) / (2 * h),
     )
     outcome = EquilibriumOutcome(
-        contract=Contract(shares=shares, joint_share=beta_star),
-        efforts=result.efforts,
-        demand=d,
-        cp_utility=(1.0 - beta_star) * r * d,
-        isp_utilities=tuple(b * r * d - c * a
-                            for b, c, a in zip(shares, (c1, c2), (a1, a2))),
-        total_effort=total,
-        foc_residual=residual,
-        degenerate=False,
-    )
+        contract=Contract(shares=result.share_split, joint_share=beta_star),
+        efforts=result.efforts, r=r, costs=(c1, c2), foc_residual=residual, degenerate=False)
     return outcome, result
 
 

@@ -196,14 +196,17 @@ def test_effort_profile_rejects_negative():
 
 
 def test_outcome_rejects_non_finite_figures():
-    def outcome(isp_utilities):
+    def outcome(c2):
         return EquilibriumOutcome(
             contract=Contract(shares=(0.1, 0.2)), efforts=EffortProfile((1.0, 2.0)),
-            demand=math.log(4.0), cp_utility=1.0, isp_utilities=isp_utilities,
-            total_effort=3.0, foc_residual=0.0, degenerate=False)
+            r=10.0, costs=(0.5, c2), foc_residual=0.0, degenerate=False)
 
-    assert outcome((0.5, 0.25)).isp_utilities == (0.5, 0.25)
-    for bad in (-math.inf, math.nan):
+    good = outcome(1.0)
+    d = math.log(4.0)
+    assert (good.total_effort, good.demand) == (3.0, d)
+    assert good.cp_utility == (1.0 - 0.1 - 0.2) * 10.0 * d
+    assert good.isp_utilities == (0.1 * 10.0 * d - 0.5, 0.2 * 10.0 * d - 2.0)
+    for bad in (math.inf, math.nan):
         with pytest.raises(NonFiniteOutcomeError, match="utility of ISP 2"):
-            outcome((0.5, bad))
+            outcome(bad)
     assert issubclass(NonFiniteOutcomeError, ArithmeticError)
