@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closed_form import solve_regulated_competitive, solve_regulated_cooperative
-from .lambertw import lambert_w0
+from .lambertw import lambert_w0_ratio
 from .model import (
     BargainingResult,
     Branch,
@@ -32,8 +32,6 @@ __all__ = [
     "coalition_values",
     "shapley_closed",
 ]
-
-E = math.e
 
 
 class NbsSplit(NamedTuple):
@@ -131,8 +129,8 @@ def coalition_values(r: float, c1: float, c2: float, branch: Branch) -> dict[fro
     v({1,2}) = r*(1 - 2/W(r*e/c2)) + a1*(c2 - c1) + c2, with a1 the
     regulated-cooperative effort of ISP1 on the chosen branch.
     """
-    w1 = lambert_w0(r * E / c1)
-    w2 = lambert_w0(r * E / c2)
+    w1 = lambert_w0_ratio(r, c1)
+    w2 = lambert_w0_ratio(r, c2)
     a1 = solve_regulated_cooperative(r, c1, c2, branch).efforts.efforts[0]
     return {
         frozenset(): 0.0,
@@ -173,8 +171,8 @@ def shapley_closed(r: float, c1: float, c2: float, branch: Branch) -> ShapleyRep
         )
     values = coalition_values(r, c1, c2, branch)
     phi1, phi2 = shapley_brute(lambda s: values[frozenset(s)])
-    w1 = lambert_w0(r * E / c1)
-    w2 = lambert_w0(r * E / c2)
+    w1 = lambert_w0_ratio(r, c1)
+    w2 = lambert_w0_ratio(r, c2)
     if branch is Branch.ISP1:
         closed1 = r / 2.0 * (1.0 - 4.0 / w1 - 2.0 / w2) + c1
         closed2 = r / 2.0 * (1.0 - 2.0 / w2) + c2

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .lambertw import lambert_w0
+from .lambertw import lambert_w0_ratio
 from .model import (
     Branch,
     Contract,
@@ -44,8 +44,6 @@ __all__ = [
     "boundary_case_cp_utility",
     "symmetric_per_isp_utility_forms",
 ]
-
-E = math.e
 
 
 def _require_positive(**values: float) -> None:
@@ -80,7 +78,7 @@ def solve_public_private(r: float, c1: float, c2: float) -> EquilibriumOutcome:
     k = pin_cost(ScenarioKind.PUBLIC_PRIVATE, (c1, c2))
     if r <= k:
         return _zero_outcome(r, (c1, c2))
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     beta2 = 1.0 / w
     a2 = r / (k * w) - 1.0
     leader = abs(math.log(beta2 * r / k) - (1.0 - beta2) / beta2)
@@ -103,7 +101,7 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
     k = pin_cost(ScenarioKind.PUBLIC_PRIVATE_REGULATED, (c1, c2))
     if r <= k:
         return _zero_outcome(r, (c1, c2))
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     beta2 = 1.0 / w
     a2 = r / (k * w) - a1_bar - 1.0
     if a2 < -1e-12:
@@ -136,7 +134,7 @@ def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcom
     k = pin_cost(ScenarioKind.SYMMETRIC_COMPETITIVE, (c,))
     if r <= k:
         return _zero_outcome(r, (c,) * n)
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     beta = 1.0 / (n * w)
     a = beta * r / c - 1.0 / n
     total = n * a
@@ -159,7 +157,7 @@ def solve_symmetric_cooperative(r: float, c: float, n: int) -> EquilibriumOutcom
     k = pin_cost(ScenarioKind.SYMMETRIC_COOPERATIVE, (c,))
     if r <= k:
         return _zero_outcome(r, (c,) * n, joint=True)
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     beta = 1.0 / w
     a = (beta * r / c - 1.0) / n
     total = n * a
@@ -222,7 +220,7 @@ def solve_asymmetric_competitive(r: float, c1: float, c2: float) -> ContinuumEqu
             shares=Contract(shares=(0.0, 0.0)),
             split_parameter=c1 / k, degenerate=True,
         )
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     b1 = c1 / (k * w)
     b2 = c2 / (k * w)
     total = r / (k * w) - 1.0
@@ -258,7 +256,7 @@ def solve_regulated_cooperative(r: float, c1: float, c2: float,
     if r <= cb:
         return _zero_outcome(r, (c1, c2), joint=True)
     k = c1 + c2
-    w = lambert_w0(r * E / cb)
+    w = lambert_w0_ratio(r, cb)
     beta = 1.0 / w
     total = r / (cb * w) - 1.0
     a1 = c1 / k * total
@@ -298,7 +296,7 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
     k = pin_cost(ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE, (c1, c2))
     if r <= k:
         return _zero_outcome(r, (c1, c2), joint=True)
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     beta = 1.0 / w
     total = r / (k * w) - 1.0
     a2 = total - a1_bar
@@ -377,7 +375,7 @@ def boundary_case_cp_utility(r: float, c1: float, c2: float, multiplier: float) 
     k = c1 + c2 + multiplier
     if r <= k:
         return 0.0
-    w = lambert_w0(r * E / k)
+    w = lambert_w0_ratio(r, k)
     return r * (w - 1.0) ** 2 / w
 
 
@@ -392,5 +390,5 @@ def symmetric_per_isp_utility_forms(r: float, c: float, n: int) -> tuple[float, 
     out = solve_symmetric_competitive(r, c, n)
     if out.degenerate:
         return 0.0, 0.0
-    w = lambert_w0(r * E / c)
+    w = lambert_w0_ratio(r, c)
     return out.isp_utilities[0], r * (1.0 - (n + 1.0) / (n * w)) + c / n

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["lambert_w0", "log_x_over_w", "BRANCH_POINT"]
+__all__ = ["lambert_w0", "lambert_w0_ratio", "log_x_over_w", "BRANCH_POINT"]
 
 # Branch point of the principal branch: W0 is real for x >= -1/e.
 BRANCH_POINT = -math.exp(-1.0)
@@ -58,36 +58,47 @@ def _halley(x: float, w: float) -> float | None:
     return None
 
 
+def _bisect_log(lx: float) -> float:
+    """Bisect w + log(w) = lx, the form Fritsch, Shafer & Crowley iterate on
+    ("Solution of the transcendental equation w*exp(w) = x", CACM 16(2),
+    1973), and stop on a relative step of 1e-14. For lx > 0 the root lies
+    between 1 and lx."""
+    lo, hi = min(1.0, lx), max(1.0, lx)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + math.log(mid) <= lx:
+            lo = mid
+        else:
+            hi = mid
+        w = 0.5 * (lo + hi)
+        if hi - lo <= _REL_TOLERANCE * lo:
+            return w
+    raise ArithmeticError(f"lambert_w0 failed to converge for log(x)={lx!r}")
+
+
 def _bisect(x: float) -> float:
     """Bracketing fallback.
 
-    Above e it brackets w + log(w) = log(x), the form Fritsch, Shafer &
-    Crowley iterate on ("Solution of the transcendental equation
-    w*exp(w) = x", CACM 16(2), 1973), and stops on a relative step of
-    1e-14. That form stays well conditioned where the computed w*exp(w),
-    whose relative error is about w machine epsilons, makes Halley's
-    residual test fail. Elsewhere it stops on the residual post-condition.
+    Above e it bisects the log form (``_bisect_log``). That form stays well
+    conditioned where the computed w*exp(w), whose relative error is about
+    w machine epsilons, makes Halley's residual test fail. Elsewhere it
+    stops on the residual post-condition.
     """
-    large = x > math.e
-    lx = math.log(x) if large else 0.0
-    if large:
-        lo, hi = 1.0, lx
-    elif x >= 0.0:
+    if x > math.e:
+        return _bisect_log(math.log(x))
+    if x >= 0.0:
         lo, hi = 0.0, max(1.0, math.log(max(x, 1.0)) + 1.0)
     else:
         lo, hi = -1.0, 0.0
     tol = _REL_TOLERANCE * max(1.0, abs(x))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (mid + math.log(mid) <= lx) if large else (mid * math.exp(mid) - x <= 0.0):
+        if mid * math.exp(mid) - x <= 0.0:
             lo = mid
         else:
             hi = mid
         w = 0.5 * (lo + hi)
-        if large:
-            if hi - lo <= _REL_TOLERANCE * lo:
-                return w
-        elif abs(w * math.exp(w) - x) <= tol:
+        if abs(w * math.exp(w) - x) <= tol:
             return w
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x!r}")
 
@@ -125,6 +136,17 @@ def lambert_w0(x: float) -> float:
     if w is None:
         w = _bisect(x)
     return w
+
+
+def lambert_w0_ratio(r: float, cost: float) -> float:
+    """W0(r*e/cost) for positive r and cost, the W that pins every
+    closed-form share. Where r*e/cost overflows to infinity it bisects
+    w + log(w) = 1 + log(r) - log(cost) instead; a finite argument, or a
+    non-finite r, takes ``lambert_w0``'s path unchanged."""
+    x = r * math.e / cost
+    if x == math.inf and math.isfinite(r):
+        return _bisect_log(1.0 + math.log(r) - math.log(cost))
+    return lambert_w0(x)
 
 
 def log_x_over_w(x: float) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import mpmath
 import pytest
 
 from revshare import cli, oracle
@@ -174,6 +175,25 @@ class TestSolveCommand:
                                        "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["residuals"]["foc"] <= 1e-9
+
+    @pytest.mark.parametrize("argv, share, expected", [
+        # r*e overflows: each of two ISPs gets 1/(2 W(2e))
+        ("symmetric-competitive --r 1e308 --c 5e307 --n 2", "shares",
+         lambda: 1 / (2 * mpmath.lambertw(2 * mpmath.e))),
+        # e/c overflows: the joint share is 1/W(e/c)
+        ("symmetric-cooperative --r 1 --c 1e-308", "joint_share",
+         lambda: 1 / mpmath.lambertw(mpmath.e / mpmath.mpf("1e-308"))),
+    ])
+    def test_overflowing_w_argument_solves(self, capsys, argv, share, expected):
+        code, out, err = _run(capsys, ["solve", "--scenario", *argv.split(),
+                                       "--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        value = payload["contract"][share]
+        value = value[0] if share == "shares" else value
+        with mpmath.workdps(30):
+            assert value == pytest.approx(float(expected().real), rel=1e-11)
+        assert payload["degenerate"] is False
 
     def test_non_finite_figure_exits_two(self, capsys):
         # the regulated split puts the effort on the costly ISP, whose cost

@@ -13,6 +13,7 @@ from revshare.lambertw import (
     _halley,
     _initial_guess,
     lambert_w0,
+    lambert_w0_ratio,
     log_x_over_w,
 )
 
@@ -139,6 +140,40 @@ def test_bisection_fallback_reaches_largest_floats():
         with mpmath.workdps(50):
             ref = mpmath.lambertw(x)
             assert abs((_bisect(x) - ref) / ref) <= 1e-13
+
+
+_DBL_MAX = 1.7976931348623157e308
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(r_cost=st.one_of(
+    st.tuples(_log_uniform(1e-300, 1e308), _log_uniform(1e-300, 1e308)),
+    # r*e overflows
+    st.tuples(_log_uniform(_DBL_MAX / E, _DBL_MAX), _log_uniform(1e-300, _DBL_MAX)),
+    # e/cost overflows
+    st.tuples(_log_uniform(1e-300, 1e308), _log_uniform(5e-324, 1e-300))))
+@example(r_cost=(1e308, 5e307))
+@example(r_cost=(1.0, 1e-308))
+@example(r_cost=(_DBL_MAX, _DBL_MAX))
+@example(r_cost=(_DBL_MAX, 5e-324))
+def test_ratio_matches_mpmath_where_the_argument_overflows(r_cost):
+    r, cost = r_cost
+    w = lambert_w0_ratio(r, cost)
+    if r * E / cost < math.inf:
+        assert w == lambert_w0(r * E / cost)
+    with mpmath.workdps(50):
+        ref = mpmath.lambertw(mpmath.mpf(r) * mpmath.e / mpmath.mpf(cost)).real
+        # below x = 1 lambert_w0 promises an absolute residual
+        assert abs(w - ref) <= 1e-13 * max(1.0, ref)
+
+
+def test_ratio_keeps_the_finite_argument_error():
+    with pytest.raises(ValueError, match="finite argument"):
+        lambert_w0_ratio(math.inf, 1.0)
 
 
 def _halley_all_iterations(x, w):
