@@ -274,10 +274,13 @@ def solve_regulated_cooperative_cp_preferred(
     """Resolve the branch choice by maximizing the CP's utility.
 
     The cheaper-cost branch wins because x/W(x) is increasing, so the raw
-    per-branch solver remains available for the dominated branch.
+    per-branch solver remains available for the dominated branch. A
+    non-degenerate branch beats a degenerate one at equal CP utility (zero,
+    where the cheap branch's share rounds to one); ISP1 wins any other tie.
     """
     outcomes = {branch: solve_regulated_cooperative(r, c1, c2, branch) for branch in Branch}
-    best = max(outcomes, key=lambda branch: outcomes[branch].cp_utility)  # ISP1 on a tie
+    best = max(outcomes, key=lambda branch: (outcomes[branch].cp_utility,
+                                             not outcomes[branch].degenerate))
     return best, outcomes[best]
 
 

@@ -376,10 +376,12 @@ class TestNbsCommand:
 
 def _degenerate_probe_points():
     """(scenario, costs, r, r2) with r just below and above each of c1, c2
-    and c1 + c2, for c1 < c2 and c1 > c2. Symmetric scenarios take c1
-    alone; two-CP scenarios also move r2 across the same costs."""
+    and c1 + c2, for c1 < c2 and c1 > c2, and a few ulps above each (where
+    a share of exactly one ties the CP's utility with the degenerate zero).
+    Symmetric scenarios take c1 alone; two-CP scenarios also move r2 across
+    the same costs."""
     for c1, c2 in ((0.5, 1.0), (1.0, 0.5)):
-        rates = [k * f for k in (c1, c2, c1 + c2) for f in (0.999, 1.001)]
+        rates = [k * f for k in (c1, c2, c1 + c2) for f in (0.999, 1.001, 1 + 1e-15)]
         for kind in ScenarioKind:
             costs = (c1,) if kind.value.startswith("symmetric") else (c1, c2)
             r2_values = rates if kind.value.startswith("multi-cp") else [None]
