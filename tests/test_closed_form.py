@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revshare.closed_form import (
+    SOLVERS,
     boundary_case_cp_utility,
     solve_asymmetric_competitive,
     solve_fixed_public_effort_coop,
@@ -16,7 +20,13 @@ from revshare.closed_form import (
     solve_symmetric_competitive,
     solve_symmetric_cooperative,
 )
-from revshare.model import Branch, InfeasibleEffortError, ScenarioKind
+from revshare.model import (
+    Branch,
+    InfeasibleEffortError,
+    NonFiniteOutcomeError,
+    ScenarioKind,
+    pin_cost,
+)
 
 from conftest import grid_then_golden_max
 
@@ -383,3 +393,51 @@ def test_every_nondegenerate_solve_has_tiny_foc_residual():
         for out in solves:
             if not out.degenerate:
                 assert out.foc_residual < 1e-9
+
+
+_LOG_UNIFORM = st.floats(math.log(1e-300), math.log(1e308)).map(math.exp)
+# Half the rates are log-uniform; the other half lie a relative 1e-15 to 10
+# above or below the pin cost: (factor, above) instead of a rate.
+_RATE = st.one_of(_LOG_UNIFORM,
+                  st.tuples(st.floats(math.log(1e-15), math.log(10.0)).map(math.exp),
+                            st.booleans()))
+
+
+def _rate(draw, pin):
+    if isinstance(draw, float):
+        return draw
+    offset, above = draw
+    rate = pin * (1.0 + offset) if above else pin / (1.0 + offset)
+    return min(max(rate, 1e-300), 1e308)
+
+
+def _assert_payoffs_add_up(out, r, costs):
+    # U_CP + sum U_i + sum c_i*a_i = r*demand, summed exactly since the
+    # terms reach 1e308; subnormal products are too coarse to check
+    terms = [Fraction(out.cp_utility), *map(Fraction, out.isp_utilities),
+             *(Fraction(c) * Fraction(a) for c, a in zip(costs, out.efforts.efforts)),
+             -Fraction(r) * Fraction(out.demand)]
+    largest = max(map(abs, terms))
+    if largest >= 1e-290:
+        assert abs(sum(terms)) <= Fraction(1e-12) * largest
+
+
+@pytest.mark.parametrize("kind", list(SOLVERS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(c1=_LOG_UNIFORM, c2=_LOG_UNIFORM, n=st.sampled_from([1, 2, 3, 5, 8, 1000]),
+       branch=st.sampled_from([None, *Branch]), a1_bar=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       r_draw=_RATE, r2_draw=_RATE)
+def test_every_solver_ends_in_an_outcome_or_a_named_error(kind, c1, c2, n, branch, a1_bar,
+                                                          r_draw, r2_draw):
+    costs = (c1,) * n if kind.value.startswith("symmetric") else (c1, c2)
+    pin = pin_cost(kind, costs[:2], branch)
+    r, r2 = _rate(r_draw, pin), _rate(r2_draw, pin)
+    try:
+        _, solved = SOLVERS[kind](r=r, c1=c1, c2=c2, n=n, a1_bar=a1_bar, r2=r2,
+                                  branch=branch)
+    except (NonFiniteOutcomeError, InfeasibleEffortError):
+        return
+    per_cp = zip(solved, (r, r2)) if isinstance(solved, list) else [(solved, r)]
+    for out, rate in per_cp:
+        assert out.degenerate is (rate <= pin)
+        _assert_payoffs_add_up(out, rate, costs)
