@@ -5,7 +5,13 @@ the stored golden file and its exit code the listed one. The README
 examples come first. The rows after them pin one ``solve`` of each
 scenario the README leaves out (one with a degenerate second CP) and the
 ``compare-coop-comp`` and ``n-scaling`` reports, whose coop-comp rows
-print the nested oracle outcome's utilities. The
+print the nested oracle outcome's utilities. The ``sweep-*`` rows after
+those pin the sweep renderer where a row's values change their form: a
+regulated-cooperative table whose ``degenerate`` flips as r crosses the
+costs, per-CP csv rows with a degenerate CP, a symmetric table whose row
+shape changes with n, the fixed-public-effort ``matches_competitive_total``
+bool, and sweeps of the ``compare-public-private`` and ``n-scaling``
+reports. The
 ``compare-coop-comp --sweep ... --plot`` example is left out: it runs for
 tens of seconds and writes a plot file.
 """
@@ -54,6 +60,21 @@ EXAMPLES = {
         0, "compare --scenario compare-coop-comp --r 10 --c 0.5,1.0"),
     "compare-n-scaling": (
         0, "compare --scenario n-scaling --r 10 --c 0.5"),
+    "sweep-regulated-cooperative-r": (
+        0, "sweep --scenario regulated-cooperative --r 10 --c 0.5,1.0 --sweep r:0.25:3:12"),
+    "sweep-multi-cp-cooperative-r2": (
+        0, "sweep --scenario multi-cp-cooperative --r 10 --c 0.5,1.0 --r2 4 "
+           "--sweep r2:0.1:2:8 --format csv"),
+    "sweep-symmetric-cooperative-n": (
+        0, "sweep --scenario symmetric-cooperative --r 10 --c 0.5 --sweep n:1:4:4"),
+    "sweep-fixed-public-effort-cooperative-a1-bar": (
+        0, "sweep --scenario fixed-public-effort-cooperative --r 10 --c 0.5,1.0 "
+           "--sweep a1-bar:0:2:6 --format csv"),
+    "sweep-compare-public-private-c1": (
+        0, "sweep --scenario compare-public-private --r 10 --c 0.5,1.0 "
+           "--sweep c1:0.2:2:6 --format csv"),
+    "sweep-n-scaling-r": (
+        0, "sweep --scenario n-scaling --r 10 --c 0.5 --n 3 --sweep r:1:20:4"),
 }
 
 
