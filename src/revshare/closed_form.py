@@ -54,10 +54,9 @@ def _require_positive(**values: float) -> None:
 
 def _outcome(r, costs, shares, efforts, foc_residual, joint_share=None,
              matches_competitive_total=None, degenerate=False) -> EquilibriumOutcome:
-    return EquilibriumOutcome(
-        contract=Contract(shares=tuple(shares), joint_share=joint_share),
-        efforts=EffortProfile(tuple(efforts)), r=r, costs=costs, foc_residual=foc_residual,
-        degenerate=degenerate, matches_competitive_total=matches_competitive_total)
+    # positional: the field order of Contract, EffortProfile and EquilibriumOutcome
+    return EquilibriumOutcome(Contract(shares, joint_share), EffortProfile(efforts), r, costs,
+                              foc_residual, degenerate, matches_competitive_total)
 
 
 def _zero_outcome(r, costs, joint: bool = False) -> EquilibriumOutcome:
@@ -269,6 +268,11 @@ def solve_regulated_cooperative(r: float, c1: float, c2: float,
                     joint_share=beta)
 
 
+# Relative cost gap above which the cheaper regulated-cooperative branch wins
+# outright (see solve_regulated_cooperative_cp_preferred).
+_BRANCH_GAP = 1e-9
+
+
 def solve_regulated_cooperative_cp_preferred(
         r: float, c1: float, c2: float) -> tuple[Branch, EquilibriumOutcome]:
     """Resolve the branch choice by maximizing the CP's utility.
@@ -277,7 +281,21 @@ def solve_regulated_cooperative_cp_preferred(
     per-branch solver remains available for the dominated branch. A
     non-degenerate branch beats a degenerate one at equal CP utility (zero,
     where the cheap branch's share rounds to one); ISP1 wins any other tie.
+
+    Only the cheaper branch is solved where it cannot lose or tie: r above
+    both costs and the costs more than 1e-9 apart, relative. There the CP
+    utilities r*(W-1)^2/W of the two branches differ by a relative
+    1e-9/(W-1) or more, some 1e5 times their rounding error, while costs
+    closer than about 1e-13 can tie exactly. Anywhere else, and wherever
+    the cheaper branch fails (so that the error raised is the one the
+    ISP1-first order below raises), both branches are solved and compared.
     """
+    if r > max(c1, c2) and abs(c1 - c2) > _BRANCH_GAP * max(c1, c2):
+        cheaper = Branch.ISP1 if c1 < c2 else Branch.ISP2
+        try:
+            return cheaper, solve_regulated_cooperative(r, c1, c2, cheaper)
+        except (ValueError, ArithmeticError):
+            pass
     outcomes = {branch: solve_regulated_cooperative(r, c1, c2, branch) for branch in Branch}
     best = max(outcomes, key=lambda branch: (outcomes[branch].cp_utility,
                                              not outcomes[branch].degenerate))

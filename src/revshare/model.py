@@ -152,12 +152,13 @@ class Contract:
     joint_share: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shares", tuple(float(b) for b in self.shares))
-        for b in self.shares:
+        shares = tuple(map(float, self.shares))
+        object.__setattr__(self, "shares", shares)
+        for b in shares:
             if b < -_ATOL or b > 1.0 + _ATOL:
                 raise ValueError(f"share out of [0, 1]: {b!r}")
-        if sum(self.shares) > 1.0 + _ATOL:
-            raise ValueError(f"shares sum to more than 1: {self.shares!r}")
+        if sum(shares) > 1.0 + _ATOL:
+            raise ValueError(f"shares sum to more than 1: {shares!r}")
         if self.joint_share is not None and not -_ATOL <= self.joint_share <= 1.0 + _ATOL:
             raise ValueError(f"joint share out of [0, 1]: {self.joint_share!r}")
 
@@ -173,9 +174,11 @@ class EffortProfile:
     efforts: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "efforts", tuple(float(a) for a in self.efforts))
-        if any(a < -_ATOL for a in self.efforts):
-            raise ValueError(f"efforts must be non-negative, got {self.efforts!r}")
+        efforts = tuple(map(float, self.efforts))
+        object.__setattr__(self, "efforts", efforts)
+        for a in efforts:
+            if a < -_ATOL:
+                raise ValueError(f"efforts must be non-negative, got {efforts!r}")
 
     @property
     def total(self) -> float:
@@ -210,16 +213,16 @@ class EquilibriumOutcome:
     isp_utilities: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        derived = _payoffs(self.r, self.costs, self.contract, self.efforts)
-        for name, value in zip(("total_effort", "demand", "cp_utility", "isp_utilities"),
-                               derived):
-            object.__setattr__(self, name, value)
-        figures = (self.demand, self.cp_utility, self.total_effort, self.foc_residual,
-                   *self.efforts.efforts, *self.isp_utilities)
+        total, demand, cp, isps = _payoffs(self.r, self.costs, self.contract, self.efforts)
+        # frozen, so the derived fields go straight into the instance dict
+        vars(self).update(total_effort=total, demand=demand, cp_utility=cp,
+                          isp_utilities=isps)
+        efforts = self.efforts.efforts
+        figures = (demand, cp, total, self.foc_residual, *efforts, *isps)
         if not all(map(math.isfinite, figures)):
             names = ("demand", "cp_utility", "total_effort", "foc_residual",
-                     *(f"effort of ISP {i}" for i in range(1, len(self.efforts.efforts) + 1)),
-                     *(f"utility of ISP {i}" for i in range(1, len(self.isp_utilities) + 1)))
+                     *(f"effort of ISP {i}" for i in range(1, len(efforts) + 1)),
+                     *(f"utility of ISP {i}" for i in range(1, len(isps) + 1)))
             name, value = next((n, v) for n, v in zip(names, figures) if not math.isfinite(v))
             raise NonFiniteOutcomeError(f"outcome has a non-finite {name}: {value!r}")
 
@@ -300,10 +303,10 @@ def _payoffs(r: float, costs: tuple[float, ...], contract: Contract,
     """(total effort, demand, CP utility, ISP utilities): the CP keeps
     (1 - total share) * r * demand and ISP i nets beta_i * r * demand - c_i * a_i.
     A joint contract's utilities use its per-ISP split."""
-    total = efforts.total
+    total = sum(efforts.efforts)
     d = math.log(total + 1.0)
     return (total, d, (1.0 - contract.total_share) * r * d,
-            tuple(b * r * d - c * a for b, c, a in zip(contract.shares, costs, efforts.efforts)))
+            tuple([b * r * d - c * a for b, c, a in zip(contract.shares, costs, efforts.efforts)]))
 
 
 def cp_utility(params: MarketParams, contract: Contract, efforts: EffortProfile) -> float:

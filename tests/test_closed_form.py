@@ -294,6 +294,54 @@ class TestRegulatedCooperative:
         assert not solve_regulated_cooperative(0.8, 0.5, 1.0, Branch.ISP1).degenerate
 
 
+def _solve_both_and_max(r, c1, c2):
+    # the CP-preferred solve as it was before it solved one branch: both
+    # branches, then the best CP utility, a non-degenerate branch first at
+    # a tie and ISP1 at any other tie
+    outcomes = {branch: solve_regulated_cooperative(r, c1, c2, branch) for branch in Branch}
+    best = max(outcomes, key=lambda branch: (outcomes[branch].cp_utility,
+                                             not outcomes[branch].degenerate))
+    return best, outcomes[best]
+
+
+def _hex_figures(out):
+    floats = (*out.contract.shares, out.contract.joint_share, *out.efforts.efforts, out.r,
+              *out.costs, out.foc_residual, out.total_effort, out.demand, out.cp_utility,
+              *out.isp_utilities)
+    return [x.hex() for x in floats], out.degenerate
+
+
+def _solve_or_error(solve, r, c1, c2):
+    try:
+        branch, out = solve(r, c1, c2)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return branch, _hex_figures(out)
+
+
+_COST = st.floats(math.log(1e-300), math.log(1e308)).map(math.exp)
+# relative gaps around the 1e-9 cut, down to the 1e-15 where branches tie
+_GAP = st.one_of(st.just(0.0), st.floats(math.log(1e-16), math.log(1e-8)).map(math.exp),
+                 st.floats(math.log(1e-8), math.log(1e3)).map(math.exp))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(c1=_COST, gap=_GAP, costlier_first=st.booleans(),
+       pin=st.sampled_from(["c1", "c2", "c1+c2", "log-uniform"]),
+       factor=st.sampled_from([1 - 2e-15, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 2e-15, 1 + 1e-9,
+                               1.5, 1e3, 1e200]),
+       r_draw=_COST)
+def test_cheaper_branch_shortcut_changes_no_result(c1, gap, costlier_first, pin, factor,
+                                                    r_draw):
+    c2 = min(c1 * (1.0 + gap), 1e308)
+    if costlier_first:
+        c1, c2 = c2, c1
+    r = {"c1": c1, "c2": c2, "c1+c2": c1 + c2, "log-uniform": r_draw}[pin]
+    r = min(r * factor, 1.7e308) if pin != "log-uniform" else r
+    assert (_solve_or_error(solve_regulated_cooperative_cp_preferred, r, c1, c2)
+            == _solve_or_error(_solve_both_and_max, r, c1, c2))
+
+
 class TestFixedPublicEffortCooperative:
     def test_zero_fixed_effort_matches_public_private_totals(self):
         coop = solve_fixed_public_effort_coop(10.0, 1.0, 0.5, 0.0)
