@@ -52,6 +52,13 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive, got {v!r}")
 
 
+def _exceeds_budget(a1_bar: float, budget: float) -> bool:
+    """Whether an imposed effort exceeds the total effort budget by more than
+    a relative 1e-12, the slack left for rounding. A budget that rounds
+    below zero leaves room for no effort but zero."""
+    return a1_bar > max(budget, 0.0) * (1.0 + 1e-12)
+
+
 def _outcome(r, costs, shares, efforts, foc_residual, joint_share=None,
              matches_competitive_total=None, degenerate=False) -> EquilibriumOutcome:
     # positional: the field order of Contract, EffortProfile and EquilibriumOutcome
@@ -102,11 +109,12 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
         return _zero_outcome(r, (c1, c2))
     w = lambert_w0_ratio(r, k)
     beta2 = 1.0 / w
+    budget = r / (k * w) - 1.0
     a2 = r / (k * w) - a1_bar - 1.0
-    if a2 < -1e-12:
+    if _exceeds_budget(a1_bar, budget):
         raise InfeasibleEffortError(
             f"a1_bar={a1_bar!r} exceeds the total effort budget "
-            f"{r / (k * w) - 1.0:.6g}; private effort would be negative"
+            f"{budget:.6g}; private effort would be negative"
         )
     a2 = max(a2, 0.0)
     log_ratio = math.log(beta2 * r / k)
@@ -321,7 +329,7 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
     beta = 1.0 / w
     total = r / (k * w) - 1.0
     a2 = total - a1_bar
-    if a2 < -1e-12:
+    if _exceeds_budget(a1_bar, total):
         raise InfeasibleEffortError(
             f"a1_bar={a1_bar!r} exceeds the total effort budget {total:.6g}"
         )

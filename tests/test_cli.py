@@ -209,6 +209,17 @@ class TestSolveCommand:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("scenario", ["fixed-public-effort-cooperative",
+                                          "public-private-regulated"])
+    def test_imposed_effort_above_a_tiny_budget_is_infeasible(self, capsys, scenario):
+        # the effort budget is 4.3e-14; an absolute 1e-12 slack let 2.6e-13 through
+        code, out, err = _run(capsys, ["solve", "--scenario", scenario, "--r",
+                                       "1.5562722186625776e-173", "--c",
+                                       "9.669194694088076e-196,1.5562722186624424e-173",
+                                       "--a1-bar", "2.6e-13"])
+        assert (code, out) == (2, "")
+        assert "a1_bar=2.6e-13 exceeds the total effort budget 4.32987e-14" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = _run(capsys, ["solve", "--scenario", "public-private",
