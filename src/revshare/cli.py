@@ -8,9 +8,12 @@ command is byte-identical. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Callable
 
 from . import closed_form, oracle
 from .bargaining import (
@@ -34,7 +37,17 @@ from .model import (
 __all__ = ["RunSpec", "SweepAxis", "UsageError", "parse_args", "run", "main"]
 
 _SOLVE_SCENARIOS = tuple(kind.value for kind in closed_form.SOLVERS)
-_COMPARE_SCENARIOS = ("compare-public-private", "compare-coop-comp", "n-scaling")
+# Each comparison scenario's report call; it takes the keywords SOLVERS
+# entries take (n-scaling reads its cost from c1 and its largest n from n).
+_REPORTS = {
+    "compare-public-private": lambda r, c1, c2, **_: compare_public_private(r, c1, c2),
+    "compare-coop-comp": lambda r, c1, c2, disagreement, **_: compare_coop_comp(
+        r, c1, c2, disagreement),
+    "n-scaling": lambda r, c1, n, **_: n_scaling_report(r, c1, list(range(1, n + 1))),
+}
+_COMPARE_SCENARIOS = tuple(_REPORTS)
+_SYMMETRIC = (ScenarioKind.SYMMETRIC_COMPETITIVE.value, ScenarioKind.SYMMETRIC_COOPERATIVE.value)
+_TWO_CP = (ScenarioKind.MULTI_CP_COMPETITIVE.value, ScenarioKind.MULTI_CP_COOPERATIVE.value)
 _SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
 # Size caps, checked while parsing so an oversized request allocates nothing:
 # a sweep holds every row in memory, and n sets the length of every row.
@@ -134,7 +147,10 @@ def _parse_branch(text: str) -> Branch:
         raise UsageError(f"--branch must be isp1 or isp2, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing leaves no state on the parser, and
+    # building it costs more than a whole single-point solve
     parser = _Parser(prog="revshare", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in ("solve", "sweep", "compare", "shapley", "nbs"):
@@ -291,15 +307,55 @@ def _flatten(value, prefix: str = "", into: list | None = None) -> list[tuple[st
     return rows
 
 
-def _flat_table(rows: list[dict]) -> tuple[tuple, list[tuple[tuple, tuple]]]:
-    """Flatten each row once into (keys, values), rows of one shape sharing a key
-    tuple; the header is the union of row keys in first-appearance order."""
-    shapes: dict[tuple, tuple] = {}
-    flats = []
-    for row in rows:
-        keys, values = zip(*_flatten(row))
-        flats.append((shapes.setdefault(keys, keys), values))
-    return tuple(dict.fromkeys(key for keys in shapes for key in keys)), flats
+def _leaves(value, values: list, shape: list) -> None:
+    """Append a nested payload's leaves to ``values`` in ``_flatten`` order,
+    as a ``%`` template prints them: floats with -0.0 as 0.0, bools as
+    true/false and None as an empty field. ``shape`` gets each container's
+    keys (or length) and the leaf count where it ends, which together fix
+    every leaf's dotted key."""
+    if isinstance(value, dict):
+        shape.append(tuple(value))
+        value = value.values()
+    else:
+        shape.append(len(value))
+    for v in value:
+        kind = type(v)
+        if kind is float:
+            values.append(v + 0.0)
+        elif kind is bool:
+            values.append("true" if v else "false")
+        elif v is None:
+            values.append("")
+        elif isinstance(v, (dict, list, tuple)):
+            _leaves(v, values, shape)
+        else:
+            values.append(v)
+    shape.append(len(values))
+
+
+def _flat_table(payloads) -> tuple[tuple, list[tuple[tuple, tuple]], list[tuple[int, tuple]]]:
+    """Flatten each payload once into (shape number, leaf values).
+
+    A payload's shape is its containers' keys and lengths plus the types of
+    its leaves, and each shape's dotted keys are worked out once, from its
+    first payload. Returns the header (the union of row keys in
+    first-appearance order), each shape's (keys, leaf types) and the rows.
+    """
+    numbers: dict[tuple, int] = {}
+    shapes = []
+    rows = []
+    for payload in payloads:
+        values, shape = [], []
+        _leaves(payload, values, shape)
+        values = tuple(values)
+        key = (tuple(shape), tuple(map(type, values)))
+        number = numbers.get(key)
+        if number is None:
+            number = numbers[key] = len(shapes)
+            shapes.append((tuple(k for k, _ in _flatten(payload)), key[1]))
+        rows.append((number, values))
+    header = tuple(dict.fromkeys(k for keys, _ in shapes for k in keys))
+    return header, shapes, rows
 
 
 def _aligned(header: tuple, keys: tuple, values: tuple) -> tuple:
@@ -307,24 +363,48 @@ def _aligned(header: tuple, keys: tuple, values: tuple) -> tuple:
     return values if keys == header else tuple(map(dict(zip(keys, values)).get, header))
 
 
-def _render(payload, fmt: str, table: tuple | None = None) -> str:
-    """Render one payload, or a sweep's list of payloads, in the requested
-    format. ``table`` is the sweep's ``_flat_table`` when the caller has it."""
+def _placeholder(leaf_type: type) -> str:
+    return "%.12g" if leaf_type is float else "%s"
+
+
+def _csv_template(header: tuple, keys: tuple, types: tuple):
+    """A shape's csv line as a ``%`` template over its values, and the
+    itemgetter that puts them in header order (None if they already are).
+    A header key the shape lacks is an empty field."""
+    index = {key: i for i, key in enumerate(keys)}
+    fields = [_placeholder(types[index[key]]) if key in index else "" for key in header]
+    order = [index[key] for key in header if key in index]
+    return ",".join(fields) + "\n", (None if order == list(range(len(keys)))
+                                     else itemgetter(*order))
+
+
+def _render_table(table, fmt: str, sweep: bool) -> str:
+    """Render a ``_flat_table`` as csv, or as a key/value table with a
+    ``# point i`` line before each sweep point. Each shape's line template
+    is built once."""
+    header, shapes, rows = table
+    if fmt == "csv":
+        templates = [_csv_template(header, *shape) for shape in shapes]
+        lines = [",".join(header) + "\n"]
+        for number, values in rows:
+            template, order = templates[number]
+            lines.append(template % (values if order is None else order(values)))
+        return "".join(lines)
+    width = max(len(key) for key in header)
+    templates = [("# point %d\n" if sweep else "") + "".join(
+        f"{key.ljust(width).replace('%', '%%')}  {_placeholder(kind)}\n"
+        for key, kind in zip(keys, types)) for keys, types in shapes]
+    if not sweep:
+        return "".join(templates[number] % values for number, values in rows)
+    return "".join(templates[number] % (i, *values)
+                   for i, (number, values) in enumerate(rows, start=1))
+
+
+def _render(payload, fmt: str) -> str:
+    """Render one payload in the requested format."""
     if fmt == "json":
         return _json_text(payload) + "\n"
-    sweep = isinstance(payload, list)
-    header, flats = table or _flat_table(payload if sweep else [payload])
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(map(_fmt, _aligned(header, *flat))) for flat in flats)
-        return "\n".join(lines) + "\n"
-    width = max(len(key) for key in header)
-    chunks = []
-    for i, (keys, values) in enumerate(flats, start=1):
-        if sweep:
-            chunks.append(f"# point {i}\n")
-        chunks.extend(f"{key.ljust(width)}  {_fmt(v)}\n" for key, v in zip(keys, values))
-    return "".join(chunks)
+    return _render_table(_flat_table([payload]), fmt, sweep=False)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -415,72 +495,70 @@ def _params_payload(spec: RunSpec) -> dict:
     }
 
 
-def _symmetric_args(spec: RunSpec) -> tuple[float, int]:
-    costs = spec.costs
-    c = costs[0]
-    if any(abs(ci - c) > 1e-12 for ci in costs):
-        raise UsageError("symmetric scenarios need a single cost (or equal costs)")
-    n = spec.n if spec.n is not None else len(costs)
-    if n < 1:
-        raise UsageError("--n must be at least 1")
-    return c, n
+def _two_costs(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
+    if len(costs) == 1:
+        raise UsageError(f"scenario {scenario!r} needs --c c1,c2")
+    if len(costs) != 2:
+        raise UsageError(f"scenario {scenario!r} supports exactly two ISPs")
+    return costs[0], costs[1]
 
 
-def _two_costs(spec: RunSpec) -> tuple[float, float]:
-    if len(spec.costs) == 1:
-        raise UsageError(f"scenario {spec.scenario!r} needs --c c1,c2")
-    if len(spec.costs) != 2:
-        raise UsageError(f"scenario {spec.scenario!r} supports exactly two ISPs")
-    return spec.costs[0], spec.costs[1]
+def _cost_args(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
+    """The c1 and c2 keywords of a scenario's call; one-cost scenarios read c1."""
+    if scenario == "n-scaling":
+        return costs[0], costs[0]
+    if scenario in _SYMMETRIC:
+        if any(abs(ci - costs[0]) > 1e-12 for ci in costs):
+            raise UsageError("symmetric scenarios need a single cost (or equal costs)")
+        return costs[0], costs[0]
+    return _two_costs(scenario, costs)
+
+
+def _call_for(spec: RunSpec) -> tuple[Callable, dict, dict]:
+    """The solve or report call of the spec's scenario, its keywords and the
+    params payload, after the scenario's arity checks."""
+    scenario = spec.scenario
+    params = _params_payload(spec)
+    c1, c2 = _cost_args(scenario, spec.costs)
+    n = spec.n
+    if scenario == "n-scaling":
+        n = params["n"] = 10 if n is None else n
+    elif scenario in _SYMMETRIC:
+        n = params["n"] = len(spec.costs) if n is None else n
+        if n < 1:
+            raise UsageError("--n must be at least 1")
+    elif spec.r2 is None and scenario in _TWO_CP:
+        raise UsageError("two-CP scenarios need --r2")
+    call = _REPORTS.get(scenario) or closed_form.SOLVERS[ScenarioKind(scenario)]
+    keywords = {"r": spec.r, "c1": c1, "c2": c2, "n": n, "a1_bar": spec.a1_bar,
+                "r2": spec.r2, "branch": spec.branch, "disagreement": spec.disagreement}
+    return call, keywords, params
+
+
+def _payload(scenario: str, call: Callable, keywords: dict, params: dict) -> dict:
+    """Run one solve or report call and lay out its payload."""
+    if scenario in _REPORTS:
+        report = call(**keywords)
+        return {
+            "comparison": scenario,
+            "params": params,
+            "metrics": {label: dict(report.metrics[label]) for label in report.scenarios},
+            "orderings": [
+                {"metric": o.metric, "relation": o.relation, "holds": o.holds}
+                for o in report.orderings
+            ],
+            "all_hold": report.all_hold,
+        }
+    branch, solved = call(**keywords)
+    params["branch"] = branch.value if branch else None
+    if isinstance(solved, list):
+        return {"scenario": scenario, "params": params,
+                "per_cp": [_outcome_body(o) for o in solved]}
+    return {"scenario": scenario, "params": params, **_outcome_body(solved)}
 
 
 def _payload_for(spec: RunSpec) -> dict:
-    if spec.scenario in _COMPARE_SCENARIOS:
-        return _report_payload(spec)
-    kind = ScenarioKind(spec.scenario)
-    params = _params_payload(spec)
-    if kind in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
-        c1, n = _symmetric_args(spec)
-        c2 = c1
-        params["n"] = n
-    else:
-        (c1, c2), n = _two_costs(spec), spec.n
-        if spec.r2 is None and kind in (ScenarioKind.MULTI_CP_COMPETITIVE,
-                                        ScenarioKind.MULTI_CP_COOPERATIVE):
-            raise UsageError("two-CP scenarios need --r2")
-    branch, solved = closed_form.SOLVERS[kind](
-        r=spec.r, c1=c1, c2=c2, n=n, a1_bar=spec.a1_bar, r2=spec.r2, branch=spec.branch)
-    params["branch"] = branch.value if branch else None
-    if isinstance(solved, list):
-        return {"scenario": spec.scenario, "params": params,
-                "per_cp": [_outcome_body(o) for o in solved]}
-    return {"scenario": spec.scenario, "params": params, **_outcome_body(solved)}
-
-
-def _report_payload(spec: RunSpec) -> dict:
-    scenario = spec.scenario
-    params = _params_payload(spec)
-    if scenario == "compare-public-private":
-        c1, c2 = _two_costs(spec)
-        report = compare_public_private(spec.r, c1, c2)
-    elif scenario == "compare-coop-comp":
-        c1, c2 = _two_costs(spec)
-        report = compare_coop_comp(spec.r, c1, c2, spec.disagreement)
-    else:
-        c = spec.costs[0]
-        n_max = spec.n if spec.n is not None else 10
-        report = n_scaling_report(spec.r, c, list(range(1, n_max + 1)))
-        params["n"] = n_max
-    return {
-        "comparison": scenario,
-        "params": params,
-        "metrics": {label: dict(report.metrics[label]) for label in report.scenarios},
-        "orderings": [
-            {"metric": o.metric, "relation": o.relation, "holds": o.holds}
-            for o in report.orderings
-        ],
-        "all_hold": report.all_hold,
-    }
+    return _payload(spec.scenario, *_call_for(spec))
 
 
 def _sweep_values(axis: SweepAxis) -> list[float]:
@@ -491,26 +569,44 @@ def _sweep_values(axis: SweepAxis) -> list[float]:
     return values
 
 
-def _spec_with(spec: RunSpec, param: str, value: float) -> RunSpec:
-    if param == "r":
-        return replace(spec, r=value)
-    if param == "r2":
-        return replace(spec, r2=value)
+# The RunSpec field, solver keyword and params key each sweep axis sets; the
+# cost axes set the cost tuple, from which the c1 and c2 keywords follow.
+_SWEPT_FIELDS = {"r": "r", "r2": "r2", "n": "n", "a1-bar": "a1_bar",
+                 "c": "costs", "c1": "costs", "c2": "costs"}
+
+
+def _swept(spec: RunSpec, param: str, value: float):
+    """The value a sweep point gives the field its axis sets."""
     if param == "n":
-        return replace(spec, n=int(value))
-    if param == "a1-bar":
-        return replace(spec, a1_bar=value)
+        return int(value)
     if param == "c":
-        return replace(spec, costs=tuple(value for _ in spec.costs))
-    if param == "c1":
+        return (value,) * len(spec.costs)
+    if param in ("c1", "c2"):
         if len(spec.costs) < 2:
-            raise UsageError("--sweep c1 needs two costs in --c")
-        return replace(spec, costs=(value,) + spec.costs[1:])
-    if param == "c2":
-        if len(spec.costs) < 2:
-            raise UsageError("--sweep c2 needs two costs in --c")
-        return replace(spec, costs=spec.costs[:1] + (value,) + spec.costs[2:])
-    raise UsageError(f"unknown sweep parameter {param!r}")
+            raise UsageError(f"--sweep {param} needs two costs in --c")
+        i = 0 if param == "c1" else 1
+        return spec.costs[:i] + (value,) + spec.costs[i + 1:]
+    return value
+
+
+def _sweep_payloads(spec: RunSpec, param: str, values: list[float]):
+    """Each sweep point's payload, in sweep order.
+
+    The scenario, its arity checks and the params are resolved once, at the
+    first point; each point then sets only the swept keyword (and re-runs
+    the cost check, the one check a swept cost can change).
+    """
+    name = _SWEPT_FIELDS[param]
+    call, keywords, params = _call_for(
+        replace(spec, **{name: _swept(spec, param, values[0])}))
+    for value in values:
+        value = _swept(spec, param, value)
+        if name == "costs":
+            keywords["c1"], keywords["c2"] = _cost_args(spec.scenario, value)
+            params["costs"] = list(value)
+        else:
+            keywords[name] = params[name] = value
+        yield _payload(spec.scenario, call, keywords, dict(params))
 
 
 # --------------------------------------------------------------------------
@@ -532,12 +628,20 @@ def _run_solve(spec: RunSpec) -> int:
 def _run_sweep(spec: RunSpec) -> int:
     axis = spec.sweep_axis
     values = _sweep_values(axis)
-    rows = [_payload_for(_spec_with(spec, axis.param, value)) for value in values]
-    table = _flat_table(rows) if spec.plot or spec.output_format != "json" else None
-    _emit(spec, _render(rows, spec.output_format, table))
+    payloads = _sweep_payloads(spec, axis.param, values)
+    if spec.output_format == "json":
+        payloads = list(payloads)
+        table = _flat_table(payloads) if spec.plot else None
+        text = _json_text(payloads) + "\n"
+    else:
+        # flattened as they are made, so no nested payload outlives its row
+        table = _flat_table(payloads)
+        text = _render_table(table, spec.output_format, sweep=True)
+    _emit(spec, text)
     if spec.plot:
-        header, flats = table
-        columns = zip(*(_aligned(header, *flat) for flat in flats))
+        header, shapes, rows = table
+        columns = zip(*(_aligned(header, shapes[number][0], values)
+                        for number, values in rows))
         series = {key: [float(v) for v in column] for key, column in zip(header, columns)
                   if all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in column)}
@@ -562,7 +666,7 @@ def _run_verify(spec: RunSpec) -> int:
 
 
 def _run_shapley(spec: RunSpec) -> int:
-    c1, c2 = _two_costs(spec)
+    c1, c2 = _two_costs(spec.scenario, spec.costs)
     branch = spec.branch or Branch.ISP1
     report = shapley_closed(spec.r, c1, c2, branch)
     values = coalition_values(spec.r, c1, c2, branch)
@@ -587,7 +691,7 @@ def _run_shapley(spec: RunSpec) -> int:
 
 
 def _run_nbs(spec: RunSpec) -> int:
-    c1, c2 = _two_costs(spec)
+    c1, c2 = _two_costs(spec.scenario, spec.costs)
     kind = ScenarioKind.REGULATED_COOPERATIVE
     branch, outcome = closed_form.SOLVERS[kind](r=spec.r, c1=c1, c2=c2, branch=spec.branch)
     if outcome.degenerate:

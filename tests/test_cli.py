@@ -1,12 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revshare import cli, oracle
+from revshare import cli, closed_form, oracle
 from revshare.cli import SweepAxis, UsageError, parse_args
 from revshare.model import Branch, MarketParams, ScenarioKind, validate
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseArgs:
@@ -300,6 +308,166 @@ class TestSweepCommand:
         for point, line in zip(points, lines):
             flat = dict(cli._flatten(point))
             assert [cli._fmt(flat.get(key)) for key in keys] == line.split(",")
+
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_sweep_failing_at_a_later_point_prints_nothing(self, capsys, fmt):
+        # points 1 to 4 solve; a1_bar = 4 at point 5 exceeds the budget
+        code, out, err = _run(capsys, ["sweep", "--scenario", "fixed-public-effort-cooperative",
+                                       "--r", "10", "--c", "0.5,1.0",
+                                       "--sweep", "a1-bar:0:5:6", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == ("error in sweep (fixed-public-effort-cooperative): a1_bar=4.0 "
+                       "exceeds the total effort budget 3.13366\n")
+
+    @pytest.mark.parametrize("argv, golden", [
+        # the row shape changes with n, so the per-ISP columns are partly empty
+        ("sweep --scenario symmetric-cooperative --r 10 --c 0.5 --sweep n:1:4:4",
+         "sweep-symmetric-cooperative-n"),
+        # the degenerate flag flips; JSON output, plotted from the flattened rows
+        ("sweep --scenario regulated-cooperative --r 10 --c 0.5,1.0 --sweep r:0.25:3:12 "
+         "--format json", "sweep-regulated-cooperative-r-json"),
+    ])
+    def test_sweep_plot_is_byte_identical(self, capsys, tmp_path, argv, golden):
+        target = tmp_path / "sweep.svg"
+        code, out, _ = _run(capsys, argv.split() + ["--plot", str(target)])
+        assert code == 0
+        assert target.read_text() == (GOLDEN / f"{golden}.svg").read_text()
+        if "json" not in argv:
+            assert out == (GOLDEN / f"{golden}.txt").read_text()
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_SWEEP_AXES = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
+_RATE = st.floats(math.log(0.05), math.log(50.0)).map(math.exp)
+
+
+def _point_argv(argv, param, value):
+    """The ``solve`` argv of the sweep point where ``param`` is ``value``."""
+    argv = ["solve", *argv]
+    flag = {"r": "--r", "r2": "--r2", "n": "--n", "a1-bar": "--a1-bar"}.get(param, "--c")
+    if flag not in argv:
+        argv += [flag, ""]
+    i = argv.index(flag) + 1
+    costs = argv[argv.index("--c") + 1].split(",")
+    if param == "n":
+        argv[i] = str(int(value))
+    elif param == "c":
+        argv[i] = ",".join([repr(value)] * len(costs))
+    elif param in ("c1", "c2"):
+        costs[int(param[1]) - 1] = repr(value)
+        argv[i] = ",".join(costs)
+    else:
+        argv[i] = repr(value)
+    return argv
+
+
+@pytest.mark.parametrize("param", _SWEEP_AXES)
+@pytest.mark.parametrize("kind", list(closed_form.SOLVERS))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(r=_RATE, c1=_RATE, c2=_RATE,
+       cost_count=st.sampled_from([2, 2, 2, 1]), n=st.sampled_from([None, 1, 3]),
+       a1_bar=st.sampled_from([0.0, 0.05, 0.5, 3.0]), r2=_RATE,
+       start=_RATE, stop=_RATE, steps=st.integers(2, 4), start_at_base=st.booleans())
+def test_every_sweep_row_is_the_solve_at_its_point(kind, param, r, c1, c2, cost_count, n,
+                                                   a1_bar, r2, start, stop, steps,
+                                                   start_at_base):
+    scenario = kind.value
+    if scenario.startswith("symmetric"):
+        c2 = c1
+    if start_at_base and param != "n":
+        # the first point is the base market, so only later points move it
+        start = {"r": r, "c": c1, "c1": c1, "c2": c2, "r2": r2, "a1-bar": a1_bar}[param]
+    base = ["--scenario", scenario, "--r", repr(r),
+            "--c", ",".join(map(repr, (c1, c2)[:cost_count])), "--a1-bar", repr(a1_bar)]
+    if n is not None:
+        base += ["--n", str(n)]
+    if scenario.startswith("multi-cp"):
+        base += ["--r2", repr(r2)]
+    if param == "n":
+        start, stop = 1.0 + start / 10.0, 1.0 + stop / 10.0
+    code, out, err = _main(["sweep", *base, "--sweep", f"{param}:{start!r}:{stop!r}:{steps}",
+                            "--format", "csv"])
+    if param in ("c1", "c2") and cost_count == 1:
+        assert (code, out, err) == (1, "", f"usage error: --sweep {param} needs two costs in --c\n")
+        return
+    step = (stop - start) / (steps - 1)
+    values = [start + step * i for i in range(steps)]
+    if param == "n":
+        values = [float(max(1, round(v))) for v in values]
+    solves = [_main(_point_argv(base, param, v) + ["--format", "csv"]) for v in values]
+    failed = [solve for solve in solves if solve[0] != 0]
+    if failed:
+        # the sweep stops at its first failing point and prints nothing
+        solve_code, _, solve_err = failed[0]
+        assert (code, out) == (solve_code, "")
+        assert err == solve_err.replace("error in solve ", "error in sweep ")
+        return
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert len(lines) == steps
+    for line, (_, solve_out, _) in zip(lines, solves):
+        solve_header, solve_line = solve_out.splitlines()
+        if solve_header == header:
+            assert line == solve_line
+        else:
+            # a row shape the sweep's first point lacks: its own keys hold the
+            # solve's values, the sweep's other columns are empty
+            row = dict(zip(header.split(","), line.split(",")))
+            assert [row.pop(key) for key in solve_header.split(",")] == solve_line.split(",")
+            assert set(row.values()) <= {""}
+
+
+class TestRenderer:
+    PAYLOAD = {"neg_zero": -0.0, "yes": True, "no": False, "none": None, "third": 1 / 3,
+               "floats": [5e-324, -2.5e300, math.inf], "nested": {"int": 7, "text": "x"}}
+    HEADER = "neg_zero,yes,no,none,third,floats.1,floats.2,floats.3,nested.int,nested.text"
+    LINE = "0,true,false,,0.333333333333,4.94065645841e-324,-2.5e+300,inf,7,x"
+    TABLE = ("neg_zero     0\nyes          true\nno           false\nnone         \n"
+             "third        0.333333333333\nfloats.1     4.94065645841e-324\n"
+             "floats.2     -2.5e+300\nfloats.3     inf\nnested.int   7\nnested.text  x\n")
+
+    def test_single_payload(self):
+        assert cli._render(self.PAYLOAD, "csv") == f"{self.HEADER}\n{self.LINE}\n"
+        assert cli._render(self.PAYLOAD, "table") == self.TABLE
+        assert cli._render(self.PAYLOAD, "json") == (
+            '{\n  "neg_zero": 0,\n  "yes": true,\n  "no": false,\n  "none": null,\n'
+            '  "third": 0.333333333333,\n  "floats": [\n    4.94065645841e-324,\n'
+            '    -2.5e+300,\n    inf\n  ],\n  "nested": {\n    "int": 7,\n    "text": "x"\n'
+            '  }\n}\n')
+
+    def test_sweep_rows(self):
+        # the second row has another shape: a float where the first has None
+        other = {**self.PAYLOAD, "none": -0.0, "yes": False}
+        table = cli._flat_table([self.PAYLOAD, other, self.PAYLOAD])
+        csv_lines = cli._render_table(table, "csv", sweep=True).splitlines()
+        assert csv_lines == [self.HEADER, self.LINE,
+                             self.LINE.replace("0,true,false,,", "0,false,false,0,"), self.LINE]
+        table_text = cli._render_table(table, "table", sweep=True)
+        assert table_text == "".join(
+            f"# point {i}\n{text}" for i, text in enumerate(
+                [self.TABLE, self.TABLE.replace("true", "false").replace(
+                    "none         \n", "none         0\n"), self.TABLE], start=1))
+
+    def test_rows_nested_differently_keep_their_keys(self):
+        # same keys, leaf count and leaf types, but the list moves
+        table = cli._flat_table([{"a": [1.0, 2.0], "b": 3.0}, {"a": 4.0, "b": [5.0, 6.0]}])
+        assert cli._render_table(table, "csv", sweep=True) == (
+            "a.1,a.2,b,a,b.1,b.2\n1,2,3,,,\n,,,4,5,6\n")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=4))
+    def test_floats_print_as_fmt_prints_them(self, values):
+        expected = ",".join(map(cli._fmt, values))
+        assert cli._render({"v": values}, "csv").splitlines()[1] == expected
+        table = cli._flat_table([{"v": values}, {"v": values}])
+        assert cli._render_table(table, "csv", sweep=True).splitlines()[1:] == [expected] * 2
 
 
 class TestVerifyCommand:
