@@ -123,6 +123,29 @@ def test_negative_domain_against_oracle():
         assert abs(w * math.exp(w) - x) <= 1e-14 * max(1.0, abs(x))
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(st.floats(-math.exp(-1.0), E),
+                   # distances of 1e-17 to 1 above the branch point
+                   st.floats(math.log(1e-17), 0.0).map(lambda t: -math.exp(-1.0) + math.exp(t))))
+@example(x=-math.exp(-1.0))
+@example(x=0.0)
+@example(x=E)
+def test_matches_mpmath_from_the_branch_point_to_e(x):
+    # The residual promise |w*exp(w) - x| <= 1e-14 * max(1, |x|), mapped
+    # through the slope exp(w)*(1 + w) of w*exp(w): the tolerance grows
+    # like 1/sqrt(x + 1/e) towards the branch point, where W turns vertical.
+    # The float nearest -1/e lies just below it, where W is -1.
+    with mpmath.workdps(50):
+        ref = mpmath.lambertw(max(mpmath.mpf(x), -1 / mpmath.e)).real
+        slope = mpmath.exp(ref) * (1 + ref)
+        w = lambert_w0(x)
+        if slope == 0:
+            assert w == -1.0
+        else:
+            tol = 2 * _REL_TOLERANCE * max(1.0, abs(x)) / slope + 1e-16
+            assert abs(w - ref) <= tol
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(x=st.one_of(st.floats(E, 1.7e308),
                    st.floats(1.0, math.log(1.7e308)).map(math.exp)))
