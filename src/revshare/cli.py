@@ -30,24 +30,25 @@ from .model import (
     EquilibriumOutcome,
     InfeasibleBargainError,
     InfeasibleEffortError,
+    SCENARIOS,
+    Scenario,
     ScenarioKind,
     pin_cost,
 )
 
 __all__ = ["RunSpec", "SweepAxis", "UsageError", "parse_args", "run", "main"]
 
-_SOLVE_SCENARIOS = tuple(kind.value for kind in closed_form.SOLVERS)
-# Each comparison scenario's report call; it takes the keywords SOLVERS
-# entries take (n-scaling reads its cost from c1 and its largest n from n).
+# Each comparison scenario's report call and the scenario whose arity it
+# takes; the call takes the keywords SOLVERS entries take (n-scaling reads
+# its cost from c1 and its largest n from n).
 _REPORTS = {
-    "compare-public-private": lambda r, c1, c2, **_: compare_public_private(r, c1, c2),
-    "compare-coop-comp": lambda r, c1, c2, disagreement, **_: compare_coop_comp(
-        r, c1, c2, disagreement),
-    "n-scaling": lambda r, c1, n, **_: n_scaling_report(r, c1, list(range(1, n + 1))),
+    "compare-public-private": (ScenarioKind.PUBLIC_PRIVATE, lambda r, c1, c2, **_:
+                               compare_public_private(r, c1, c2)),
+    "compare-coop-comp": (ScenarioKind.REGULATED_COOPERATIVE, lambda r, c1, c2, disagreement, **_:
+                          compare_coop_comp(r, c1, c2, disagreement)),
+    "n-scaling": (ScenarioKind.SYMMETRIC_COMPETITIVE, lambda r, c1, n, **_:
+                  n_scaling_report(r, c1, list(range(1, n + 1)))),
 }
-_COMPARE_SCENARIOS = tuple(_REPORTS)
-_SYMMETRIC = (ScenarioKind.SYMMETRIC_COMPETITIVE.value, ScenarioKind.SYMMETRIC_COOPERATIVE.value)
-_TWO_CP = (ScenarioKind.MULTI_CP_COMPETITIVE.value, ScenarioKind.MULTI_CP_COOPERATIVE.value)
 _SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
 # Size caps, checked while parsing so an oversized request allocates nothing:
 # a sweep holds every row in memory, and n sets the length of every row.
@@ -242,7 +243,7 @@ def parse_args(argv: list[str]) -> RunSpec:
 
     if spec.scenario is None:
         raise UsageError("--scenario is required")
-    known = _SOLVE_SCENARIOS + _COMPARE_SCENARIOS
+    known = [kind.value for kind in ScenarioKind] + list(_REPORTS)
     if spec.scenario not in known:
         raise UsageError(f"--scenario must be one of {', '.join(known)}")
     if spec.sweep_axis is not None and spec.command != "sweep":
@@ -503,36 +504,41 @@ def _two_costs(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
     return costs[0], costs[1]
 
 
-def _cost_args(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
+def _cost_args(scenario: str, record: Scenario,
+               costs: tuple[float, ...]) -> tuple[float, float]:
     """The c1 and c2 keywords of a scenario's call; one-cost scenarios read c1."""
-    if scenario == "n-scaling":
-        return costs[0], costs[0]
-    if scenario in _SYMMETRIC:
+    if record.costs == 1:
         if any(abs(ci - costs[0]) > 1e-12 for ci in costs):
             raise UsageError("symmetric scenarios need a single cost (or equal costs)")
         return costs[0], costs[0]
     return _two_costs(scenario, costs)
 
 
-def _call_for(spec: RunSpec) -> tuple[Callable, dict, dict]:
-    """The solve or report call of the spec's scenario, its keywords and the
-    params payload, after the scenario's arity checks."""
+def _call_for(spec: RunSpec) -> tuple[Scenario, Callable, dict, dict]:
+    """The record of the spec's scenario, its solve or report call, the
+    call's keywords and the params payload, after the record's arity checks."""
     scenario = spec.scenario
+    if scenario in _REPORTS:
+        kind, call = _REPORTS[scenario]
+    else:
+        kind = ScenarioKind(scenario)
+        call = closed_form.SOLVERS[kind]
+    record = SCENARIOS[kind]
     params = _params_payload(spec)
-    c1, c2 = _cost_args(scenario, spec.costs)
+    c1, c2 = _cost_args(scenario, record, spec.costs)
     n = spec.n
-    if scenario == "n-scaling":
-        n = params["n"] = 10 if n is None else n
-    elif scenario in _SYMMETRIC:
-        n = params["n"] = len(spec.costs) if n is None else n
+    if record.costs == 1:
+        # a report tabulates n = 1..10 by default, a solve one ISP per cost
+        if n is None:
+            n = 10 if scenario in _REPORTS else len(spec.costs)
+        params["n"] = n
         if n < 1:
             raise UsageError("--n must be at least 1")
-    elif spec.r2 is None and scenario in _TWO_CP:
+    elif record.two_cp and spec.r2 is None:
         raise UsageError("two-CP scenarios need --r2")
-    call = _REPORTS.get(scenario) or closed_form.SOLVERS[ScenarioKind(scenario)]
     keywords = {"r": spec.r, "c1": c1, "c2": c2, "n": n, "a1_bar": spec.a1_bar,
                 "r2": spec.r2, "branch": spec.branch, "disagreement": spec.disagreement}
-    return call, keywords, params
+    return record, call, keywords, params
 
 
 def _payload(scenario: str, call: Callable, keywords: dict, params: dict) -> dict:
@@ -558,7 +564,7 @@ def _payload(scenario: str, call: Callable, keywords: dict, params: dict) -> dic
 
 
 def _payload_for(spec: RunSpec) -> dict:
-    return _payload(spec.scenario, *_call_for(spec))
+    return _payload(spec.scenario, *_call_for(spec)[1:])
 
 
 def _sweep_values(axis: SweepAxis) -> list[float]:
@@ -597,12 +603,12 @@ def _sweep_payloads(spec: RunSpec, param: str, values: list[float]):
     the cost check, the one check a swept cost can change).
     """
     name = _SWEPT_FIELDS[param]
-    call, keywords, params = _call_for(
+    record, call, keywords, params = _call_for(
         replace(spec, **{name: _swept(spec, param, values[0])}))
     for value in values:
         value = _swept(spec, param, value)
         if name == "costs":
-            keywords["c1"], keywords["c2"] = _cost_args(spec.scenario, value)
+            keywords["c1"], keywords["c2"] = _cost_args(spec.scenario, record, value)
             params["costs"] = list(value)
         else:
             keywords[name] = params[name] = value
@@ -737,9 +743,8 @@ def run(spec: RunSpec) -> int:
     if spec.command == "sweep":
         return _run_sweep(spec)
     if spec.command == "compare":
-        if spec.scenario not in _COMPARE_SCENARIOS:
-            raise UsageError(
-                f"compare needs a comparison scenario: {', '.join(_COMPARE_SCENARIOS)}")
+        if spec.scenario not in _REPORTS:
+            raise UsageError(f"compare needs a comparison scenario: {', '.join(_REPORTS)}")
         return _run_solve(spec)
     if spec.command == "verify":
         return _run_verify(spec)

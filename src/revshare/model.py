@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 __all__ = [
     "Branch",
     "ScenarioKind",
+    "Scenario",
+    "SCENARIOS",
     "MarketParams",
     "Contract",
     "EffortProfile",
@@ -81,26 +84,42 @@ class ScenarioKind(str, Enum):
     MULTI_CP_COOPERATIVE = "multi-cp-cooperative"
 
 
-def _branch_cost(costs: tuple[float, ...], branch: Branch | None) -> float:
-    return costs[-1] if branch is Branch.ISP2 else costs[0]
+@dataclass(frozen=True)
+class Scenario:
+    """What one market structure needs and where it degenerates.
+
+    ``condition`` is the non-degeneracy condition as reported, and ``pin``
+    maps (costs, branch) to the scenario's pin cost (see ``pin_cost``).
+    ``costs`` is how many ISP costs it takes: two, or one for the symmetric
+    markets, whose cost may be given once per ISP if every copy is equal.
+    ``two_cp`` marks the markets that need a second CP's rate.
+    """
+
+    condition: str
+    pin: Callable[[tuple[float, ...], Branch | None], float]
+    costs: int = 2
+    two_cp: bool = False
 
 
-# Each scenario's degeneracy condition and pin cost (see pin_cost). With no
-# branch, regulated-cooperative pins on the cheaper ISP, its CP-preferred
-# branch, and multi-cp-cooperative on ISP1, its default branch.
-_PINS = {
-    **dict.fromkeys((ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE),
-                    ("r > c", lambda costs, branch: costs[0])),
+# Each scenario's record; closed_form.SOLVERS holds its solve call under the
+# same key. With no branch, regulated-cooperative pins on the cheaper ISP, its
+# CP-preferred branch, and multi-cp-cooperative on ISP1, its default branch.
+SCENARIOS: dict[ScenarioKind, Scenario] = {
     **dict.fromkeys((ScenarioKind.PUBLIC_PRIVATE, ScenarioKind.PUBLIC_PRIVATE_REGULATED,
                      ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE),
-                    ("r > c2", lambda costs, branch: costs[-1])),
-    **dict.fromkeys((ScenarioKind.ASYMMETRIC_COMPETITIVE, ScenarioKind.REGULATED_COMPETITIVE,
-                     ScenarioKind.MULTI_CP_COMPETITIVE),
-                    ("r > c1 + c2", lambda costs, branch: sum(costs))),
-    ScenarioKind.REGULATED_COOPERATIVE: (
-        "r > min(c1, c2)",
-        lambda costs, branch: min(costs) if branch is None else _branch_cost(costs, branch)),
-    ScenarioKind.MULTI_CP_COOPERATIVE: ("r > c1", _branch_cost),
+                    Scenario("r > c2", lambda costs, branch: costs[-1])),
+    **dict.fromkeys((ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE),
+                    Scenario("r > c", lambda costs, branch: costs[0], costs=1)),
+    **dict.fromkeys((ScenarioKind.ASYMMETRIC_COMPETITIVE, ScenarioKind.REGULATED_COMPETITIVE),
+                    Scenario("r > c1 + c2", lambda costs, branch: sum(costs))),
+    ScenarioKind.REGULATED_COOPERATIVE: Scenario(
+        "r > min(c1, c2)", lambda costs, branch: min(costs) if branch is None
+        else costs[-1] if branch is Branch.ISP2 else costs[0]),
+    ScenarioKind.MULTI_CP_COMPETITIVE: Scenario(
+        "r > c1 + c2", lambda costs, branch: sum(costs), two_cp=True),
+    ScenarioKind.MULTI_CP_COOPERATIVE: Scenario(
+        "r > c1", lambda costs, branch: costs[-1] if branch is Branch.ISP2 else costs[0],
+        two_cp=True),
 }
 
 
@@ -109,7 +128,7 @@ def pin_cost(scenario: ScenarioKind, costs: tuple[float, ...],
     """The cost c whose W(r*e/c) pins the scenario's equilibrium share; it
     is also the degeneracy threshold, since r <= c leaves no profitable
     effort. ``branch`` selects the pinning ISP in the two branch scenarios."""
-    return _PINS[scenario][1](costs, branch)
+    return SCENARIOS[scenario].pin(costs, branch)
 
 
 @dataclass(frozen=True)
@@ -337,16 +356,16 @@ def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:
     CP has no incentive to share because total effort would stay below one
     demand unit. Multi-CP scenarios require the condition for both rates.
     """
-    condition, _ = _PINS[scenario]
-    threshold = pin_cost(scenario, params.costs)
+    record = SCENARIOS[scenario]
+    threshold = record.pin(params.costs, None)
     notes: list[str] = []
-    if condition == "r > c" and any(abs(c - threshold) > _ATOL * max(1.0, threshold)
-                                    for c in params.costs):
-        notes.append("symmetric scenario given unequal costs; using the first cost")
-    if condition == "r > c2" and params.n < 2:
-        notes.append("scenario expects two ISPs (public, private)")
+    if record.costs == 1:
+        if any(abs(c - threshold) > _ATOL * max(1.0, threshold) for c in params.costs):
+            notes.append("symmetric scenario given unequal costs; using the first cost")
+    elif params.n != 2:
+        notes.append(f"scenario expects two ISP costs, got {params.n}")
     valid = params.r > threshold
-    if scenario in (ScenarioKind.MULTI_CP_COMPETITIVE, ScenarioKind.MULTI_CP_COOPERATIVE):
+    if record.two_cp:
         if params.second_cp_rate is None:
             notes.append("two-CP scenario without a second rate; checked the first rate only")
         elif not params.second_cp_rate > threshold:
@@ -358,7 +377,7 @@ def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:
         scenario=scenario,
         valid=valid,
         degenerate=not valid,
-        condition=condition,
+        condition=record.condition,
         threshold=threshold,
         notes=tuple(notes),
     )

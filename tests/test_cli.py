@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from revshare import cli, closed_form, oracle
 from revshare.cli import SweepAxis, UsageError, parse_args
-from revshare.model import Branch, MarketParams, ScenarioKind, validate
+from revshare.model import SCENARIOS, Branch, MarketParams, ScenarioKind, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -582,3 +582,30 @@ def test_solve_degenerate_flag_agrees_with_validate(capsys):
         for body, rate in bodies:
             expected = validate(MarketParams(r=rate, costs=costs), kind).degenerate
             assert body["degenerate"] is expected, argv
+
+
+# Each arity usage error of the CLI and the validate() note for the same market.
+_ARITY_NOTES = {
+    "needs --c c1,c2": "expects two ISP costs",
+    "need a single cost (or equal costs)": "unequal costs",
+    "need --r2": "without a second rate",
+}
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_cli_arity_errors_match_validate_notes(kind):
+    assert set(SCENARIOS) == set(closed_form.SOLVERS) == set(ScenarioKind)
+    for costs in ((0.5,), (0.5, 1.0), (0.5, 0.5)):
+        for r2 in (None, 4.0):
+            argv = ["solve", "--scenario", kind.value, "--r", "10",
+                    "--c", ",".join(map(repr, costs))]
+            if r2 is not None:
+                argv += ["--r2", repr(r2)]
+            code, _, err = _main(argv)
+            notes = validate(MarketParams(r=10.0, costs=costs, second_cp_rate=r2), kind).notes
+            if code == 0:
+                assert notes == (), argv
+            else:
+                assert code == 1, (argv, err)
+                matching = [note for error, note in _ARITY_NOTES.items() if error in err]
+                assert matching and any(matching[0] in note for note in notes), (argv, err, notes)
