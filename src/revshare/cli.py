@@ -33,6 +33,7 @@ from .model import (
     SCENARIOS,
     Scenario,
     ScenarioKind,
+    equal_costs,
     pin_cost,
 )
 
@@ -508,7 +509,7 @@ def _cost_args(scenario: str, record: Scenario,
                costs: tuple[float, ...]) -> tuple[float, float]:
     """The c1 and c2 keywords of a scenario's call; one-cost scenarios read c1."""
     if record.costs == 1:
-        if any(abs(ci - costs[0]) > 1e-12 for ci in costs):
+        if not equal_costs(costs):
             raise UsageError("symmetric scenarios need a single cost (or equal costs)")
         return costs[0], costs[0]
     return _two_costs(scenario, costs)

@@ -30,6 +30,7 @@ __all__ = [
     "BargainNotConvergedError",
     "NonFiniteOutcomeError",
     "demand",
+    "equal_costs",
     "cp_utility",
     "isp_utility",
     "pin_cost",
@@ -121,6 +122,13 @@ SCENARIOS: dict[ScenarioKind, Scenario] = {
         "r > c1", lambda costs, branch: costs[-1] if branch is Branch.ISP2 else costs[0],
         two_cp=True),
 }
+
+
+def equal_costs(costs: tuple[float, ...]) -> bool:
+    """Whether every cost equals the first to a relative 1e-12: the one rule
+    for a one-cost scenario given its cost once per ISP."""
+    first = costs[0]
+    return all(c == first or abs(c - first) <= 1e-12 * max(c, first) for c in costs[1:])
 
 
 def pin_cost(scenario: ScenarioKind, costs: tuple[float, ...],
@@ -360,7 +368,7 @@ def validate(params: MarketParams, scenario: ScenarioKind) -> ValidationReport:
     threshold = record.pin(params.costs, None)
     notes: list[str] = []
     if record.costs == 1:
-        if any(abs(c - threshold) > _ATOL * max(1.0, threshold) for c in params.costs):
+        if not equal_costs(params.costs):
             notes.append("symmetric scenario given unequal costs; using the first cost")
     elif params.n != 2:
         notes.append(f"scenario expects two ISP costs, got {params.n}")

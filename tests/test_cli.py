@@ -569,6 +569,23 @@ def _degenerate_probe_points():
                     yield kind, costs, r, r2
 
 
+@pytest.mark.parametrize("argv, code", [
+    # each one solved with the first cost alone, or refused at an absolute 1e-12
+    ("solve --scenario symmetric-competitive --r 10 --c 1e-300,2e-300", 1),
+    ("solve --scenario symmetric-cooperative --r 10 --c 1e6,1.00000000001e6", 1),
+    ("solve --scenario symmetric-competitive --r 10 --c 1e6,1.0000000000001e6", 0),
+    ("compare --scenario n-scaling --r 10 --c 0.5,1.0", 1),
+    ("compare --scenario n-scaling --r 10 --c 0.5,0.5", 0),
+])
+def test_one_cost_scenarios_need_costs_equal_to_a_relative_1e12(capsys, argv, code):
+    got, out, err = _run(capsys, argv.split())
+    if code:
+        assert (got, out, err) == (
+            1, "", "usage error: symmetric scenarios need a single cost (or equal costs)\n")
+    else:
+        assert (got, err) == (0, "")
+
+
 def test_solve_degenerate_flag_agrees_with_validate(capsys):
     for kind, costs, r, r2 in _degenerate_probe_points():
         argv = ["solve", "--scenario", kind.value, "--r", repr(r),

@@ -171,6 +171,19 @@ def test_validate_never_throws_on_odd_shapes():
     assert report.notes  # flags the odd shape instead of raising
 
 
+@pytest.mark.parametrize("costs, unequal", [
+    ((1e-300, 2e-300), True),  # an absolute tolerance called these equal
+    ((1e6, 1.00000000001e6), True),  # and a tolerance scaled by max(1, c) these
+    ((1e6, 1.0000000000001e6), False),
+    ((1e-300, 1.0000000000001e-300), False),
+    ((0.5, 0.5, 0.5), False),
+])
+def test_validate_notes_unequal_symmetric_costs_at_any_scale(costs, unequal):
+    for kind in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
+        notes = validate(MarketParams(r=10.0, costs=costs), kind).notes
+        assert any("unequal costs" in note for note in notes) is unequal
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         MarketParams(r=0.0, costs=(1.0,))
