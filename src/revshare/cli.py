@@ -468,7 +468,7 @@ def _write_svg(path: str, x_label: str, xs: list[float],
 # payload builders
 
 def _outcome_body(outcome: EquilibriumOutcome) -> dict:
-    body = {
+    return {
         "contract": {
             "shares": list(outcome.contract.shares),
             "joint_share": outcome.contract.joint_share,
@@ -480,9 +480,6 @@ def _outcome_body(outcome: EquilibriumOutcome) -> dict:
         "residuals": {"foc": outcome.foc_residual},
         "degenerate": outcome.degenerate,
     }
-    if outcome.matches_competitive_total is not None:
-        body["residuals"]["matches_competitive_total"] = outcome.matches_competitive_total
-    return body
 
 
 def _params_payload(spec: RunSpec) -> dict:

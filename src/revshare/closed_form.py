@@ -60,10 +60,10 @@ def _exceeds_budget(a1_bar: float, budget: float) -> bool:
 
 
 def _outcome(r, costs, shares, efforts, foc_residual, joint_share=None,
-             matches_competitive_total=None, degenerate=False) -> EquilibriumOutcome:
+             degenerate=False) -> EquilibriumOutcome:
     # positional: the field order of Contract, EffortProfile and EquilibriumOutcome
     return EquilibriumOutcome(Contract(shares, joint_share), EffortProfile(efforts), r, costs,
-                              foc_residual, degenerate, matches_competitive_total)
+                              foc_residual, degenerate)
 
 
 def _zero_outcome(r, costs, joint: bool = False) -> EquilibriumOutcome:
@@ -316,8 +316,7 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
 
     The private ISP maximizes the coalition payoff, so total + 1 = beta*r/c2
     with beta = 1/W(r*e/c2): total effort is independent of a1_bar and equal
-    to the one-public competitive total, which the outcome records in
-    ``matches_competitive_total``.
+    to the one-public competitive total.
     """
     _require_positive(r=r, c1=c1, c2=c2)
     if a1_bar < 0.0:
@@ -337,11 +336,8 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
     shares = (beta * a1_bar / total, beta * a2 / total)
     leader = abs(math.log(beta * r / k) - (1.0 - beta) / beta)
     follower = abs(beta * r / (total + 1.0) - k)
-    competitive_total = solve_public_private(r, c1, c2).total_effort
-    return _outcome(
-        r, (c1, c2), shares, (a1_bar, a2), max(leader, follower), joint_share=beta,
-        matches_competitive_total=abs(total - competitive_total) <= 1e-9 * max(1.0, total),
-    )
+    return _outcome(r, (c1, c2), shares, (a1_bar, a2), max(leader, follower),
+                    joint_share=beta)
 
 
 def solve_multi_cp(r1: float, r2: float, c1: float, c2: float,

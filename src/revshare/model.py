@@ -163,12 +163,6 @@ class MarketParams:
     def n(self) -> int:
         return len(self.costs)
 
-    @property
-    def costs_ascending(self) -> bool:
-        """True when costs are ordered c1 <= c2 <= ...; the asymmetric
-        results assume the second ISP is the costlier one."""
-        return all(a <= b for a, b in zip(self.costs, self.costs[1:]))
-
 
 @dataclass(frozen=True)
 class Contract:
@@ -222,9 +216,6 @@ class EquilibriumOutcome:
     violation of the scenario's first-order conditions at the returned
     point. ``degenerate`` marks the zero-share, zero-effort equilibrium that
     applies when r is below the scenario's cost threshold.
-    ``matches_competitive_total`` is only set by the fixed-public-effort
-    cooperative solve, where it records that total effort coincides with
-    the one-public-ISP competitive total.
     """
 
     contract: Contract
@@ -233,7 +224,6 @@ class EquilibriumOutcome:
     costs: tuple[float, ...]
     foc_residual: float
     degenerate: bool
-    matches_competitive_total: bool | None = None
     total_effort: float = field(init=False)
     demand: float = field(init=False)
     cp_utility: float = field(init=False)

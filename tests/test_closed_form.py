@@ -355,7 +355,10 @@ class TestFixedPublicEffortCooperative:
         assert out.contract.joint_share == pytest.approx(0.34210364569921, abs=1e-12)
         assert out.efforts.efforts[1] == pytest.approx(3.84207291398419, abs=1e-10)
         assert out.total_effort == pytest.approx(5.84207291398419, abs=1e-10)
-        assert out.matches_competitive_total is True
+        competitive = solve_public_private(10.0, 1.0, 0.5).total_effort
+        for a1_bar in (0.0, 2.0, 5.0):
+            out = solve_fixed_public_effort_coop(10.0, 1.0, 0.5, a1_bar)
+            assert out.total_effort == pytest.approx(competitive, rel=1e-12)
 
     def test_total_effort_invariant_in_fixed_effort(self):
         outs = [solve_fixed_public_effort_coop(10.0, 1.0, 0.5, a) for a in (0.0, 1.0, 4.0)]

@@ -191,8 +191,6 @@ def test_params_validation():
         MarketParams(r=1.0, costs=())
     with pytest.raises(ValueError):
         MarketParams(r=1.0, costs=(1.0, -0.5))
-    assert MarketParams(r=1.0, costs=(0.5, 1.0)).costs_ascending
-    assert not MarketParams(r=1.0, costs=(1.0, 0.5)).costs_ascending
 
 
 def test_contract_validation():
