@@ -9,11 +9,10 @@ print the nested oracle outcome's utilities. The ``sweep-*`` rows after
 those pin the sweep renderer where a row's values change their form: a
 regulated-cooperative table whose ``degenerate`` flips as r crosses the
 costs, per-CP csv rows with a degenerate CP, a symmetric table whose row
-shape changes with n, the fixed-public-effort ``matches_competitive_total``
-bool, and sweeps of the ``compare-public-private`` and ``n-scaling``
-reports. The
-``compare-coop-comp --sweep ... --plot`` example is left out: it runs for
-tens of seconds and writes a plot file.
+shape changes with n, a fixed-public-effort csv whose shares move with
+``a1_bar``, and sweeps of the ``compare-public-private`` and ``n-scaling``
+reports. The ``compare-coop-comp --sweep ... --plot`` example is left out:
+it runs for tens of seconds and writes a plot file.
 """
 from pathlib import Path
 
