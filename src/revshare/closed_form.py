@@ -6,8 +6,9 @@ Conventions shared by all solvers:
 * Degenerate regimes (r at or below the scenario's ``model.pin_cost``) return
   an explicit zero outcome flagged ``degenerate=True`` instead of raising, so
   parameter sweeps never abort.
-* ``foc_residual`` is the largest absolute violation of the scenario's
-  leader and follower first-order conditions at the returned point.
+* ``foc_residual`` is the larger relative violation of the scenario's
+  leader and follower first-order conditions at the returned point
+  (``_foc_residual``).
 * Joint contracts carry both the total share and the canonical per-ISP
   split (proportional to effort), so per-ISP utilities are always defined.
 """
@@ -59,6 +60,18 @@ def _exceeds_budget(a1_bar: float, budget: float) -> bool:
     return a1_bar > max(budget, 0.0) * (1.0 + 1e-12)
 
 
+def _foc_residual(share: float, r: float, k: float, total: float) -> float:
+    """The larger violation of the two conditions that pin share B and total
+    effort T through the pin cost k: the leader's ln(B*r/k) = (1 - B)/B and
+    the followers' T + 1 = B*r/k. Each side's gap is divided by the larger
+    of 1 and its two operands, so the residual stays at rounding size on
+    every scale of market."""
+    pinned = share * r / k
+    leader, lead_rhs = math.log(pinned), (1.0 - share) / share
+    return max(abs(leader - lead_rhs) / max(1.0, abs(leader), abs(lead_rhs)),
+               abs(total + 1.0 - pinned) / max(1.0, abs(total + 1.0), abs(pinned)))
+
+
 def _outcome(r, costs, shares, efforts, foc_residual, joint_share=None,
              degenerate=False) -> EquilibriumOutcome:
     # positional: the field order of Contract, EffortProfile and EquilibriumOutcome
@@ -87,9 +100,7 @@ def solve_public_private(r: float, c1: float, c2: float) -> EquilibriumOutcome:
     w = lambert_w0_ratio(r, k)
     beta2 = 1.0 / w
     a2 = r / (k * w) - 1.0
-    leader = abs(math.log(beta2 * r / k) - (1.0 - beta2) / beta2)
-    follower = abs(beta2 * r / (a2 + 1.0) - k)
-    return _outcome(r, (c1, c2), (0.0, beta2), (0.0, a2), max(leader, follower))
+    return _outcome(r, (c1, c2), (0.0, beta2), (0.0, a2), _foc_residual(beta2, r, k, a2))
 
 
 def solve_public_private_regulated(r: float, c1: float, c2: float,
@@ -123,9 +134,8 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
         raise InfeasibleEffortError(
             "break-even share for the public ISP pushes the total share above one"
         )
-    leader = abs(log_ratio - (1.0 - beta2) / beta2)
-    follower = abs(beta2 * r / (a1_bar + a2 + 1.0) - k)
-    return _outcome(r, (c1, c2), (beta1, beta2), (a1_bar, a2), max(leader, follower))
+    return _outcome(r, (c1, c2), (beta1, beta2), (a1_bar, a2),
+                    _foc_residual(beta2, r, k, a1_bar + a2))
 
 
 def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcome:
@@ -144,11 +154,8 @@ def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcom
     w = lambert_w0_ratio(r, k)
     beta = 1.0 / (n * w)
     a = beta * r / c - 1.0 / n
-    total = n * a
-    # Leader optimum of (1 - n*beta) * r * log(n*beta*r/c).
-    leader = abs(math.log(n * beta * r / c) - (1.0 - n * beta) / (n * beta))
-    follower = abs(total + 1.0 - n * beta * r / c)
-    return _outcome(r, (c,) * n, (beta,) * n, (a,) * n, max(leader, follower))
+    # the leader maximizes (1 - n*beta) * r * log(n*beta*r/c)
+    return _outcome(r, (c,) * n, (beta,) * n, (a,) * n, _foc_residual(n * beta, r, k, n * a))
 
 
 def solve_symmetric_cooperative(r: float, c: float, n: int) -> EquilibriumOutcome:
@@ -167,10 +174,7 @@ def solve_symmetric_cooperative(r: float, c: float, n: int) -> EquilibriumOutcom
     w = lambert_w0_ratio(r, k)
     beta = 1.0 / w
     a = (beta * r / c - 1.0) / n
-    total = n * a
-    leader = abs(math.log(beta * r / c) - (1.0 - beta) / beta)
-    follower = abs(total + 1.0 - beta * r / c)
-    return _outcome(r, (c,) * n, (beta / n,) * n, (a,) * n, max(leader, follower),
+    return _outcome(r, (c,) * n, (beta / n,) * n, (a,) * n, _foc_residual(beta, r, k, n * a),
                     joint_share=beta)
 
 
@@ -205,10 +209,9 @@ class ContinuumEquilibrium:
         a1 = t * self.total_effort
         a2 = self.total_effort - a1
         b1, b2 = self.shares.shares
-        residual = max(
-            abs(b1 * self.r / (self.total_effort + 1.0) - self.c1),
-            abs(b2 * self.r / (self.total_effort + 1.0) - self.c2),
-        )
+        # b_i is proportional to c_i, so the total share's conditions imply
+        # each ISP's b_i*r/(T + 1) = c_i
+        residual = _foc_residual(b1 + b2, self.r, self.c1 + self.c2, self.total_effort)
         return _outcome(self.r, (self.c1, self.c2), (b1, b2), (a1, a2), residual)
 
 
@@ -270,9 +273,7 @@ def solve_regulated_cooperative(r: float, c1: float, c2: float,
     a2 = c2 / k * total
     # Split proportional to effort, the constraint the regulation imposes.
     shares = (beta * c1 / k, beta * c2 / k)
-    leader = abs(math.log(beta * r / cb) - (1.0 - beta) / beta)
-    follower = abs(total + 1.0 - beta * r / cb)
-    return _outcome(r, (c1, c2), shares, (a1, a2), max(leader, follower),
+    return _outcome(r, (c1, c2), shares, (a1, a2), _foc_residual(beta, r, cb, total),
                     joint_share=beta)
 
 
@@ -334,9 +335,7 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
         )
     a2 = max(a2, 0.0)
     shares = (beta * a1_bar / total, beta * a2 / total)
-    leader = abs(math.log(beta * r / k) - (1.0 - beta) / beta)
-    follower = abs(beta * r / (total + 1.0) - k)
-    return _outcome(r, (c1, c2), shares, (a1_bar, a2), max(leader, follower),
+    return _outcome(r, (c1, c2), shares, (a1_bar, a2), _foc_residual(beta, r, k, total),
                     joint_share=beta)
 
 

@@ -491,4 +491,5 @@ def test_every_solver_ends_in_an_outcome_or_a_named_error(kind, c1, c2, n, branc
     per_cp = zip(solved, (r, r2)) if isinstance(solved, list) else [(solved, r)]
     for out, rate in per_cp:
         assert out.degenerate is (rate <= pin)
+        assert out.foc_residual <= 1e-9
         _assert_payoffs_add_up(out, rate, costs)
