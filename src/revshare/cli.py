@@ -50,6 +50,9 @@ _REPORTS = {
     "n-scaling": (ScenarioKind.SYMMETRIC_COMPETITIVE, lambda r, c1, n, **_:
                   n_scaling_report(r, c1, list(range(1, n + 1)))),
 }
+# Each scenario name's record and its solve or report call.
+_CALLS = {**{kind.value: (SCENARIOS[kind], call) for kind, call in closed_form.SOLVERS.items()},
+          **{name: (SCENARIOS[kind], call) for name, (kind, call) in _REPORTS.items()}}
 _SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
 # Size caps, checked while parsing so an oversized request allocates nothing:
 # a sweep holds every row in memory, and n sets the length of every row.
@@ -244,9 +247,8 @@ def parse_args(argv: list[str]) -> RunSpec:
 
     if spec.scenario is None:
         raise UsageError("--scenario is required")
-    known = [kind.value for kind in ScenarioKind] + list(_REPORTS)
-    if spec.scenario not in known:
-        raise UsageError(f"--scenario must be one of {', '.join(known)}")
+    if spec.scenario not in _CALLS:
+        raise UsageError(f"--scenario must be one of {', '.join(_CALLS)}")
     if spec.sweep_axis is not None and spec.command != "sweep":
         raise UsageError("--sweep is only valid with the sweep command")
     if spec.command == "sweep" and spec.sweep_axis is None:
@@ -494,7 +496,13 @@ def _params_payload(spec: RunSpec) -> dict:
     }
 
 
-def _two_costs(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
+def _cost_args(scenario: str, costs: tuple[float, ...],
+               one_cost: bool = False) -> tuple[float, float]:
+    """The c1 and c2 keywords of a scenario's call; one-cost scenarios read c1."""
+    if one_cost:
+        if not equal_costs(costs):
+            raise UsageError("symmetric scenarios need a single cost (or equal costs)")
+        return costs[0], costs[0]
     if len(costs) == 1:
         raise UsageError(f"scenario {scenario!r} needs --c c1,c2")
     if len(costs) != 2:
@@ -502,34 +510,18 @@ def _two_costs(scenario: str, costs: tuple[float, ...]) -> tuple[float, float]:
     return costs[0], costs[1]
 
 
-def _cost_args(scenario: str, record: Scenario,
-               costs: tuple[float, ...]) -> tuple[float, float]:
-    """The c1 and c2 keywords of a scenario's call; one-cost scenarios read c1."""
-    if record.costs == 1:
-        if not equal_costs(costs):
-            raise UsageError("symmetric scenarios need a single cost (or equal costs)")
-        return costs[0], costs[0]
-    return _two_costs(scenario, costs)
-
-
 def _call_for(spec: RunSpec) -> tuple[Scenario, Callable, dict, dict]:
     """The record of the spec's scenario, its solve or report call, the
     call's keywords and the params payload, after the record's arity checks."""
     scenario = spec.scenario
-    if scenario in _REPORTS:
-        kind, call = _REPORTS[scenario]
-    else:
-        kind = ScenarioKind(scenario)
-        call = closed_form.SOLVERS[kind]
-    record = SCENARIOS[kind]
+    record, call = _CALLS[scenario]
     params = _params_payload(spec)
-    c1, c2 = _cost_args(scenario, record, spec.costs)
+    c1, c2 = _cost_args(scenario, spec.costs, record.costs == 1)
     n = spec.n
     if record.costs == 1:
         # a report tabulates n = 1..10 by default, a solve one ISP per cost
-        if n is None:
-            n = 10 if scenario in _REPORTS else len(spec.costs)
-        params["n"] = n
+        default_n = 10 if scenario in _REPORTS else len(spec.costs)
+        n = params["n"] = default_n if n is None else n
         if n < 1:
             raise UsageError("--n must be at least 1")
     elif record.two_cp and spec.r2 is None:
@@ -606,7 +598,7 @@ def _sweep_payloads(spec: RunSpec, param: str, values: list[float]):
     for value in values:
         value = _swept(spec, param, value)
         if name == "costs":
-            keywords["c1"], keywords["c2"] = _cost_args(spec.scenario, record, value)
+            keywords["c1"], keywords["c2"] = _cost_args(spec.scenario, value, record.costs == 1)
             params["costs"] = list(value)
         else:
             keywords[name] = params[name] = value
@@ -670,7 +662,7 @@ def _run_verify(spec: RunSpec) -> int:
 
 
 def _run_shapley(spec: RunSpec) -> int:
-    c1, c2 = _two_costs(spec.scenario, spec.costs)
+    c1, c2 = _cost_args(spec.scenario, spec.costs)
     branch = spec.branch or Branch.ISP1
     report = shapley_closed(spec.r, c1, c2, branch)
     values = coalition_values(spec.r, c1, c2, branch)
@@ -695,7 +687,7 @@ def _run_shapley(spec: RunSpec) -> int:
 
 
 def _run_nbs(spec: RunSpec) -> int:
-    c1, c2 = _two_costs(spec.scenario, spec.costs)
+    c1, c2 = _cost_args(spec.scenario, spec.costs)
     kind = ScenarioKind.REGULATED_COOPERATIVE
     branch, outcome = closed_form.SOLVERS[kind](r=spec.r, c1=c1, c2=c2, branch=spec.branch)
     if outcome.degenerate:

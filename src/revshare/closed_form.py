@@ -6,9 +6,8 @@ Conventions shared by all solvers:
 * Degenerate regimes (r at or below the scenario's ``model.pin_cost``) return
   an explicit zero outcome flagged ``degenerate=True`` instead of raising, so
   parameter sweeps never abort.
-* ``foc_residual`` is the larger relative violation of the scenario's
-  leader and follower first-order conditions at the returned point
-  (``_foc_residual``).
+* ``foc_residual`` is the scale-free violation of the scenario's leader and
+  follower first-order conditions at the returned point (``_foc_residual``).
 * Joint contracts carry both the total share and the canonical per-ISP
   split (proportional to effort), so per-ISP utilities are always defined.
 """
@@ -61,11 +60,9 @@ def _exceeds_budget(a1_bar: float, budget: float) -> bool:
 
 
 def _foc_residual(share: float, r: float, k: float, total: float) -> float:
-    """The larger violation of the two conditions that pin share B and total
-    effort T through the pin cost k: the leader's ln(B*r/k) = (1 - B)/B and
-    the followers' T + 1 = B*r/k. Each side's gap is divided by the larger
-    of 1 and its two operands, so the residual stays at rounding size on
-    every scale of market."""
+    """The larger of the leader's |ln(B*r/k) - (1 - B)/B| and the followers'
+    |T + 1 - B*r/k| for share B, pin cost k and total effort T, each divided
+    by the larger of 1 and its own two operands, so that no scale inflates it."""
     pinned = share * r / k
     leader, lead_rhs = math.log(pinned), (1.0 - share) / share
     return max(abs(leader - lead_rhs) / max(1.0, abs(leader), abs(lead_rhs)),
@@ -121,13 +118,12 @@ def solve_public_private_regulated(r: float, c1: float, c2: float,
     w = lambert_w0_ratio(r, k)
     beta2 = 1.0 / w
     budget = r / (k * w) - 1.0
-    a2 = r / (k * w) - a1_bar - 1.0
     if _exceeds_budget(a1_bar, budget):
         raise InfeasibleEffortError(
             f"a1_bar={a1_bar!r} exceeds the total effort budget "
             f"{budget:.6g}; private effort would be negative"
         )
-    a2 = max(a2, 0.0)
+    a2 = max(r / (k * w) - a1_bar - 1.0, 0.0)
     log_ratio = math.log(beta2 * r / k)
     beta1 = a1_bar * c1 / (r * log_ratio)
     if beta1 + beta2 > 1.0 + 1e-12:
@@ -328,12 +324,11 @@ def solve_fixed_public_effort_coop(r: float, c1: float, c2: float,
     w = lambert_w0_ratio(r, k)
     beta = 1.0 / w
     total = r / (k * w) - 1.0
-    a2 = total - a1_bar
     if _exceeds_budget(a1_bar, total):
         raise InfeasibleEffortError(
             f"a1_bar={a1_bar!r} exceeds the total effort budget {total:.6g}"
         )
-    a2 = max(a2, 0.0)
+    a2 = max(total - a1_bar, 0.0)
     shares = (beta * a1_bar / total, beta * a2 / total)
     return _outcome(r, (c1, c2), shares, (a1_bar, a2), _foc_residual(beta, r, k, total),
                     joint_share=beta)

@@ -87,14 +87,10 @@ class ScenarioKind(str, Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """What one market structure needs and where it degenerates.
-
-    ``condition`` is the non-degeneracy condition as reported, and ``pin``
-    maps (costs, branch) to the scenario's pin cost (see ``pin_cost``).
-    ``costs`` is how many ISP costs it takes: two, or one for the symmetric
-    markets, whose cost may be given once per ISP if every copy is equal.
-    ``two_cp`` marks the markets that need a second CP's rate.
-    """
+    """One market structure: its non-degeneracy ``condition``, its ``pin``
+    cost as a function of (costs, branch) (see ``pin_cost``), how many ISP
+    ``costs`` it takes (one for the symmetric markets, given once per ISP if
+    every copy is equal) and whether it needs a second CP's rate."""
 
     condition: str
     pin: Callable[[tuple[float, ...], Branch | None], float]
@@ -125,10 +121,10 @@ SCENARIOS: dict[ScenarioKind, Scenario] = {
 
 
 def equal_costs(costs: tuple[float, ...]) -> bool:
-    """Whether every cost equals the first to a relative 1e-12: the one rule
-    for a one-cost scenario given its cost once per ISP."""
-    first = costs[0]
-    return all(c == first or abs(c - first) <= 1e-12 * max(c, first) for c in costs[1:])
+    """Whether every cost equals the first to 1e-12 of the smaller of the two:
+    the one rule for a one-cost scenario given its cost once per ISP."""
+    return all(c == costs[0] or abs(c - costs[0]) <= 1e-12 * min(c, costs[0])
+               for c in costs[1:])
 
 
 def pin_cost(scenario: ScenarioKind, costs: tuple[float, ...],
@@ -212,9 +208,9 @@ class EquilibriumOutcome:
 
     Total effort, demand and the utilities are derived from the contract,
     efforts, rate ``r`` and ISP ``costs``, as ``cp_utility`` and
-    ``isp_utility`` define them. ``foc_residual`` is the largest absolute
-    violation of the scenario's first-order conditions at the returned
-    point. ``degenerate`` marks the zero-share, zero-effort equilibrium that
+    ``isp_utility`` define them. ``foc_residual`` is the violation of the
+    scenario's first-order conditions at the returned point, relative to
+    their size in the closed forms. ``degenerate`` marks the zero-share, zero-effort equilibrium that
     applies when r is below the scenario's cost threshold.
     """
 

@@ -574,6 +574,7 @@ def _degenerate_probe_points():
     ("solve --scenario symmetric-competitive --r 10 --c 1e-300,2e-300", 1),
     ("solve --scenario symmetric-cooperative --r 10 --c 1e6,1.00000000001e6", 1),
     ("solve --scenario symmetric-competitive --r 10 --c 1e6,1.0000000000001e6", 0),
+    ("solve --scenario symmetric-competitive --r 10 --c 0.5,inf", 1),
     ("compare --scenario n-scaling --r 10 --c 0.5,1.0", 1),
     ("compare --scenario n-scaling --r 10 --c 0.5,0.5", 0),
 ])

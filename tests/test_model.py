@@ -177,6 +177,7 @@ def test_validate_never_throws_on_odd_shapes():
     ((1e6, 1.0000000000001e6), False),
     ((1e-300, 1.0000000000001e-300), False),
     ((0.5, 0.5, 0.5), False),
+    ((0.5, math.inf), True),  # a relative tolerance scaled by the larger cost would not
 ])
 def test_validate_notes_unequal_symmetric_costs_at_any_scale(costs, unequal):
     for kind in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
