@@ -150,7 +150,7 @@ def solve_symmetric_competitive(r: float, c: float, n: int) -> EquilibriumOutcom
     w = lambert_w0_ratio(r, k)
     beta = 1.0 / (n * w)
     a = beta * r / c - 1.0 / n
-    # the leader maximizes (1 - n*beta) * r * log(n*beta*r/c)
+    # Leader optimum of (1 - n*beta) * r * log(n*beta*r/c).
     return _outcome(r, (c,) * n, (beta,) * n, (a,) * n, _foc_residual(n * beta, r, k, n * a))
 
 

@@ -570,7 +570,7 @@ def _degenerate_probe_points():
 
 
 @pytest.mark.parametrize("argv, code", [
-    # each one solved with the first cost alone, or refused at an absolute 1e-12
+    # equal means within a relative 1e-12, whatever the scale of the costs
     ("solve --scenario symmetric-competitive --r 10 --c 1e-300,2e-300", 1),
     ("solve --scenario symmetric-cooperative --r 10 --c 1e6,1.00000000001e6", 1),
     ("solve --scenario symmetric-competitive --r 10 --c 1e6,1.0000000000001e6", 0),

@@ -172,12 +172,12 @@ def test_validate_never_throws_on_odd_shapes():
 
 
 @pytest.mark.parametrize("costs, unequal", [
-    ((1e-300, 2e-300), True),  # an absolute tolerance called these equal
-    ((1e6, 1.00000000001e6), True),  # and a tolerance scaled by max(1, c) these
+    ((1e-300, 2e-300), True),  # a factor of two apart, but 1e-300 in absolute terms
+    ((1e6, 1.00000000001e6), True),  # 1e-5 apart, under 1e-9 * max(1, c)
     ((1e6, 1.0000000000001e6), False),
     ((1e-300, 1.0000000000001e-300), False),
     ((0.5, 0.5, 0.5), False),
-    ((0.5, math.inf), True),  # a relative tolerance scaled by the larger cost would not
+    ((0.5, math.inf), True),  # no finite cost equals an infinite one
 ])
 def test_validate_notes_unequal_symmetric_costs_at_any_scale(costs, unequal):
     for kind in (ScenarioKind.SYMMETRIC_COMPETITIVE, ScenarioKind.SYMMETRIC_COOPERATIVE):
