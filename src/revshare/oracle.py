@@ -3,14 +3,15 @@
 Nothing here evaluates Lambert W or any W-based formula: leader problems
 are solved by a coarse grid, golden section at every local grid maximum
 and a slope-sign bisection, follower problems by bounded golden-section,
-and the bargaining stage by a multistart grid-golden-bisection search over
-log total effort, with the split at each total in closed form. When these
-and the closed forms disagree, the numbers computed here are authoritative.
+the bargaining stage by a multistart grid-golden-bisection search over
+log total effort, with the split at each total in closed form, and the
+nested cooperative game by a share grid with golden section at every local
+maximum over those bargains. When these and the closed forms disagree, the
+numbers computed here are authoritative.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -339,17 +340,19 @@ def solve_asymmetric_cooperative(
         beta: float | None = None) -> tuple[EquilibriumOutcome, BargainingResult]:
     """Nested numerical solve of the cooperative market with bargained efforts.
 
-    Outer stage: the CP's share beta is scanned on a coarse grid and
-    refined by golden section, scoring each beta by (1-beta)*r*log(T+1)
-    where T comes from the inner Nash-product maximization. Infeasible
-    bargains score minus infinity. Pass ``beta`` to skip the outer stage.
+    Outer stage: the CP's share beta is scanned on a coarse grid and every
+    local grid maximum is refined by golden section, scoring each beta by
+    (1-beta)*r*log(T+1) where T comes from the inner Nash-product
+    maximization; the best refined or grid share wins. Infeasible bargains
+    score minus infinity. Pass ``beta`` to skip the outer stage.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
-    ``foc_residual`` is the finite-difference stationarity of the log Nash
-    product, which settles near 1e-8 rather than the closed-form 1e-9; a
-    surplus that binds within that step raises InfeasibleBargainError, and
-    a final bargain whose starts disagree raises BargainNotConvergedError.
+    ``foc_residual`` is the analytic gradient of log F1 + log F2 at the
+    returned efforts, times total effort; at an idle ISP only a rising
+    product counts. A bargain that no effort pair makes feasible raises
+    InfeasibleBargainError, and a final bargain whose starts disagree raises
+    BargainNotConvergedError.
     """
     d1, d2 = (disagreement.d1, disagreement.d2) if disagreement.kind == "custom" else (0.0, 0.0)
     if disagreement.kind == "regulated-competitive":
@@ -371,22 +374,14 @@ def solve_asymmetric_cooperative(
             raise InfeasibleBargainError(
                 "no share in (0, 1) admits a feasible bargain for this disagreement point"
             )
-        # a plateau counts once, at its left edge
-        peaks = sum(
-            1 for i in range(1, _NESTED_GRID - 1)
-            if vals[i] > -math.inf and vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]
-        )
-        if peaks > 1:
-            warnings.warn(
-                f"outer CP objective shows {peaks} local maxima on the scan grid",
-                RuntimeWarning, stacklevel=2,
-            )
-        k = max(range(_NESTED_GRID), key=lambda i: vals[i])
-        lo = grid[max(0, k - 1)]
-        hi = grid[min(_NESTED_GRID - 1, k + 1)]
-        beta_star = golden_section_max(cp_value, lo, hi, tol=1e-6)
-        if cp_value(beta_star) < vals[k]:
-            beta_star = grid[k]
+        # every local grid maximum is refined; a plateau counts at its left edge
+        v = [-math.inf, *vals, -math.inf]
+        refined = [golden_section_max(cp_value, grid[max(0, k - 1)],
+                                      grid[min(_NESTED_GRID - 1, k + 1)], tol=1e-6)
+                   for k in range(_NESTED_GRID) if v[k] < v[k + 1] >= v[k + 2]]
+        # a refined share wins a tie with a grid share
+        beta_star = max([(cp_value(b), b) for b in refined] + list(zip(vals, grid)),
+                        key=lambda t: t[0])[1]
     else:
         beta_star = beta
 
@@ -394,21 +389,15 @@ def solve_asymmetric_cooperative(
     if not result.converged:
         raise BargainNotConvergedError(f"bargain at beta={beta_star:.6g} did not converge: "
                                        f"multistart spread {result.multistart_agreement:.3g}")
-    a1, a2 = result.efforts.efforts
-
-    def log_product(x, y):
-        rev = beta_star * r * math.log(x + y + 1.0) / (x + y)
-        f1, f2 = rev * x - c1 * x - d1, rev * y - c2 * y - d2
-        if f1 <= 0.0 or f2 <= 0.0:
-            binding = ", ".join(f"surplus F{i}={f:.3g}" for i, f in ((1, f1), (2, f2)) if f <= 0.0)
-            raise InfeasibleBargainError(f"bargain at beta={beta_star:.6g} binds: {binding}")
-        return math.log(f1) + math.log(f2)
-
-    h = 1e-6
-    residual = max(
-        abs(log_product(a1 + h, a2) - log_product(a1 - h, a2)) / (2 * h),
-        abs(log_product(a1, a2 + h) - log_product(a1, a2 - h)) / (2 * h),
-    )
+    # revenue per unit of effort and its T-derivative
+    (a1, a2), (f1, f2) = result.efforts.efforts, result.surpluses
+    total = a1 + a2
+    rate = beta_star * r * math.log1p(total) / total
+    slope = beta_star * r * (total / (1.0 + total) - math.log1p(total)) / total ** 2
+    grads = ((rate + a1 * slope - c1) / f1 + a2 * slope / f2,
+             a1 * slope / f1 + (rate + a2 * slope - c2) / f2)
+    residual = total * max(abs(g) if a > 0.0 else max(g, 0.0)
+                           for a, g in zip((a1, a2), grads))
     outcome = EquilibriumOutcome(
         contract=Contract(shares=result.share_split, joint_share=beta_star),
         efforts=result.efforts, r=r, costs=(c1, c2), foc_residual=residual, degenerate=False)

@@ -387,15 +387,55 @@ class TestSolveAsymmetricCooperative:
             10.0, 0.5, 1.0, disagreement=DisagreementPolicy.custom(0.1, 0.2), beta=0.5)
         assert result.disagreement == (0.1, 0.2)
 
+    def test_small_surpluses_are_an_outcome(self):
+        # this disagreement point leaves both ISPs surpluses below 1e-6 at the
+        # bargain; the stationarity check must not step outside them
+        outcome, result = solve_asymmetric_cooperative(
+            6.39990663152031, 0.42244726701719093, 0.7213675589094566,
+            DisagreementPolicy.custom(0.91677026, 1.2316075),
+            beta=0.45057978443260216)
+        assert 0.0 < result.surpluses[0] < 1e-6 and 0.0 < result.surpluses[1] < 1e-6
+        assert math.isfinite(outcome.foc_residual)
+
     def test_binding_surplus_is_a_named_infeasible_bargain(self):
-        # this disagreement point leaves ISP2 a surplus of about 1.8e-7 at
-        # the bargain, inside the reach of the stationarity step, so the
-        # step leaves the feasible region
-        with pytest.raises(InfeasibleBargainError, match="binds: surplus F2="):
+        with pytest.raises(InfeasibleBargainError, match="beats the disagreement point"):
             solve_asymmetric_cooperative(
-                6.39990663152031, 0.42244726701719093, 0.7213675589094566,
-                DisagreementPolicy.custom(0.91677026, 1.2316075),
-                beta=0.45057978443260216)
+                10.0, 0.5, 1.0, DisagreementPolicy.custom(50.0, 50.0), beta=0.4)
+
+    def test_every_outer_peak_is_refined(self):
+        # the CP objective has two peaks on the share grid; the lower-valued
+        # grid peak near 0.16 refines above the higher one near 0.34
+        outcome, _ = solve_asymmetric_cooperative(
+            12.577971255802295, 0.4224149141612196, 0.7141620817795679,
+            DisagreementPolicy.custom(-1.2647135566177428, -0.9697533782181277))
+        assert outcome.cp_utility >= 16.48044
+        assert outcome.contract.joint_share == pytest.approx(0.15971, abs=1e-5)
+
+    @pytest.mark.parametrize("r,c1,c2,d1,d2,floor", [
+        (155.82596636139243, 1.7061271731437513, 4.949152408555484,
+         -26.684009736999133, -21.868832095323214, 358.33715),
+        (16.215469342043384, 0.7441428638693919, 1.4867997059697335,
+         -0.8184698730060748, -1.764597777483476, 21.37131),
+    ])
+    def test_bimodal_nash_product_keeps_the_cp_value(self, r, c1, c2, d1, d2, floor):
+        # negative disagreement makes the Nash product bimodal in total
+        # effort; a one-start inner bargain in the outer scan misses the
+        # interior peak and ends lower or unconverged
+        outcome, _ = solve_asymmetric_cooperative(r, c1, c2, DisagreementPolicy.custom(d1, d2))
+        assert outcome.cp_utility >= floor
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(c1=st.floats(0.05, 5.0), c2=st.floats(0.05, 5.0), margin=st.floats(1.05, 100.0),
+       zero=st.booleans(), u1=st.floats(-0.2, 0.0), u2=st.floats(-0.2, 0.0))
+def test_nested_solve_is_stationary_or_a_named_error(c1, c2, margin, zero, u1, u2):
+    r = (c1 + c2) * margin
+    policy = DisagreementPolicy.zero() if zero else DisagreementPolicy.custom(u1 * r, u2 * r)
+    try:
+        outcome, _ = solve_asymmetric_cooperative(r, c1, c2, policy)
+    except (InfeasibleBargainError, BargainNotConvergedError):
+        return
+    assert outcome.foc_residual <= 1e-9
 
 
 def test_numeric_disagreement_matches_closed_form():
