@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Leader grid on [0, 1]; the golden-section and bisection stop of the
-# leader and best-response searches; bargaining starts per Nash solve.
+# Leader grid on [0, 1] and its golden-section stop; bargaining starts per
+# Nash solve.
 _LEADER_GRID = 65
 _REFINE_TOL = 1e-10
 _NASH_STARTS = 8
@@ -125,13 +125,7 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     hi_b = min(hi, a_star + 1e-3)
     if slope(lo_b) <= 0.0 or slope(hi_b) >= 0.0:
         lo_b, hi_b = 0.0, hi
-    while hi_b - lo_b > _REFINE_TOL:
-        mid = 0.5 * (lo_b + hi_b)
-        if slope(mid) > 0.0:
-            lo_b = mid
-        else:
-            hi_b = mid
-    return 0.5 * (lo_b + hi_b)
+    return _slope_polish(lambda a: slope(a) > 0.0, a_star, lo_b, hi_b)
 
 
 def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: float) -> float:

@@ -439,12 +439,11 @@ def test_nested_solve_is_stationary_or_a_named_error(c1, c2, margin, zero, u1, u
 
 
 def test_numeric_disagreement_matches_closed_form():
-    # the benchmark utilities pass through two nested value-based searches,
-    # so the achievable localization is a few 1e-6 in utility units
+    # both nested searches end in a slope-sign bisection to adjacent floats
     closed = solve_regulated_competitive(10.0, 0.5, 1.0)
     numeric = regulated_competitive_utilities_numeric(10.0, 0.5, 1.0)
-    assert numeric[0] == pytest.approx(closed.isp_utilities[0], abs=2e-5)
-    assert numeric[1] == pytest.approx(closed.isp_utilities[1], abs=2e-5)
+    assert numeric[0] == pytest.approx(closed.isp_utilities[0], rel=1e-9)
+    assert numeric[1] == pytest.approx(closed.isp_utilities[1], rel=1e-9)
 
 
 class TestShapleyBrute:
