@@ -738,6 +738,10 @@ def run(spec: RunSpec) -> int:
         return _run_solve(spec)
     if spec.command == "verify":
         return _run_verify(spec)
+    # both bargain commands solve the regulated cooperative market only
+    if spec.command in ("shapley", "nbs") and spec.scenario != ScenarioKind.REGULATED_COOPERATIVE:
+        raise UsageError(f"{spec.command} needs --scenario "
+                         f"{ScenarioKind.REGULATED_COOPERATIVE.value}")
     if spec.command == "shapley":
         return _run_shapley(spec)
     if spec.command == "nbs":

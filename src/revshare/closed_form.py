@@ -24,6 +24,7 @@ from .model import (
     EffortProfile,
     EquilibriumOutcome,
     InfeasibleEffortError,
+    NonFiniteOutcomeError,
     ScenarioKind,
     pin_cost,
 )
@@ -202,6 +203,10 @@ class ContinuumEquilibrium:
             raise ValueError(f"split parameter must lie in [0, 1], got {t!r}")
         if self.degenerate:
             return _zero_outcome(self.r, (self.c1, self.c2))
+        # an overflowed total would split into inf - inf = nan
+        if not math.isfinite(self.total_effort):
+            raise NonFiniteOutcomeError(
+                f"outcome has a non-finite total_effort: {self.total_effort!r}")
         a1 = t * self.total_effort
         a2 = self.total_effort - a1
         b1, b2 = self.shares.shares

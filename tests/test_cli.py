@@ -212,6 +212,14 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert "non-finite utility of ISP 1" in err
 
+    @pytest.mark.parametrize("scenario", ["regulated-competitive", "multi-cp-competitive"])
+    def test_overflowed_total_effort_exits_two(self, capsys, scenario):
+        code, out, err = _run(capsys, ["solve", "--scenario", scenario,
+                                       "--r", "8.380031113062626e307", "--c",
+                                       "5.3711634715813e-94,7.132631030071139e-274", "--r2", "1"])
+        assert (code, out) == (2, "")
+        assert "non-finite total_effort: inf" in err
+
     def test_usage_failure_exits_one(self, capsys):
         code, _, err = _run(capsys, ["solve", "--scenario", "public-private"])
         assert code == 1
@@ -516,6 +524,15 @@ class TestShapleyCommand:
         assert payload["shapley"]["phi1"] == pytest.approx(2.31580295250659, abs=1e-9)
         assert payload["shapley"]["matches_brute"] is False
         assert payload["shapley"]["discrepancy"] > 1.0
+
+
+@pytest.mark.parametrize("command", ["nbs", "shapley"])
+def test_bargain_commands_reject_other_scenarios(capsys, command):
+    # both commands always solve the regulated cooperative market
+    code, out, err = _run(capsys, [command, "--scenario", "public-private", "--r", "10",
+                                   "--c", "0.5,1.0", "--disagreement", "zero"])
+    assert (code, out) == (1, "")
+    assert "needs --scenario regulated-cooperative" in err
 
 
 class TestNbsCommand:

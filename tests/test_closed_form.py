@@ -473,6 +473,15 @@ def _assert_payoffs_add_up(out, r, costs):
         assert abs(sum(terms)) <= Fraction(1e-12) * largest
 
 
+@pytest.mark.parametrize("kind", [ScenarioKind.REGULATED_COMPETITIVE,
+                                  ScenarioKind.MULTI_CP_COMPETITIVE])
+def test_overflowed_total_effort_is_named(kind):
+    # r/(k*W) - 1 overflows; splitting it would report a nan demand instead
+    with pytest.raises(NonFiniteOutcomeError, match="non-finite total_effort: inf"):
+        SOLVERS[kind](r=8.380031113062626e307, c1=5.3711634715813e-94,
+                      c2=7.132631030071139e-274, r2=1.0, branch=None)
+
+
 @pytest.mark.parametrize("kind", list(SOLVERS))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(c1=_LOG_UNIFORM, c2=_LOG_UNIFORM, n=st.sampled_from([1, 2, 3, 5, 8, 1000]),
