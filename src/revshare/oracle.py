@@ -97,11 +97,10 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 def best_response_effort(beta_i: float, r: float, c_i: float, others_total: float) -> float:
     """ISP i's optimal effort against the others' total, found numerically.
 
-    Maximizes beta_i*r*log(others + a + 1) - c_i*a over a >= 0 by
-    golden-section on [0, beta_i*r/c_i] (the upper endpoint dominates any
-    larger effort because marginal revenue falls below c_i beyond it),
-    then polishes by bisecting the payoff's slope: value comparisons alone
-    cannot localize the flat top beyond about sqrt(machine epsilon).
+    Maximizes beta_i*r*log(others + a + 1) - c_i*a over a >= 0. The payoff
+    is concave and falls beyond a = beta_i*r/c_i, where marginal revenue is
+    below c_i, so bisecting the sign of its slope on [0, beta_i*r/c_i]
+    places the top at adjacent floats.
     """
     if c_i <= 0.0:
         raise ValueError(f"cost must be positive, got {c_i!r}")
@@ -110,22 +109,13 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     if beta_i <= 0.0 or r <= 0.0:
         return 0.0
 
-    def payoff(a: float) -> float:
-        return beta_i * r * math.log(others_total + a + 1.0) - c_i * a
+    def rising(a: float) -> bool:
+        return beta_i * r / (others_total + a + 1.0) > c_i
 
-    def slope(a: float) -> float:
-        return beta_i * r / (others_total + a + 1.0) - c_i
-
-    if slope(0.0) <= 0.0:
+    if not rising(0.0):
         return 0.0
     hi = beta_i * r / c_i
-    a_star = golden_section_max(payoff, 0.0, hi, tol=1e-6)
-    # concave payoff: the slope crosses zero exactly once in (0, hi)
-    lo_b = max(0.0, a_star - 1e-3)
-    hi_b = min(hi, a_star + 1e-3)
-    if slope(lo_b) <= 0.0 or slope(hi_b) >= 0.0:
-        lo_b, hi_b = 0.0, hi
-    return _slope_polish(lambda a: slope(a) > 0.0, a_star, lo_b, hi_b)
+    return _slope_polish(rising, hi, 0.0, hi)
 
 
 def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: float) -> float:

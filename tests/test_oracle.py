@@ -48,6 +48,12 @@ class TestBestResponseEffort:
         assert best_response_effort(0.3421, 10.0, 0.5, 6.0) == 0.0
         assert best_response_effort(0.3421, 10.0, 0.5, 5.842) == pytest.approx(0.0, abs=1e-8)
 
+    def test_efforts_beyond_the_old_bisection_stop_end(self):
+        # float spacing near 1e12 exceeds any fixed effort tolerance below
+        # 1e-4; a stop on bracket width never ended here
+        assert best_response_effort(1.0, 1e12, 1.0, 0.0) == 1e12 - 1.0
+        assert best_response_effort(0.5, 1e300, 2.0, 3.0) == pytest.approx(2.5e299, rel=1e-15)
+
     def test_matches_stationary_form_on_random_inputs(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
@@ -444,6 +450,13 @@ def test_numeric_disagreement_matches_closed_form():
     numeric = regulated_competitive_utilities_numeric(10.0, 0.5, 1.0)
     assert numeric[0] == pytest.approx(closed.isp_utilities[0], rel=1e-9)
     assert numeric[1] == pytest.approx(closed.isp_utilities[1], rel=1e-9)
+
+
+def test_numeric_disagreement_ends_on_a_large_market():
+    # the leader scan asks for best responses up to r/(c1 + c2) ~ 7e8 in effort
+    closed = solve_regulated_competitive(1e9, 0.5, 1.0)
+    numeric = regulated_competitive_utilities_numeric(1e9, 0.5, 1.0)
+    assert numeric == pytest.approx(closed.isp_utilities, rel=1e-9)
 
 
 class TestShapleyBrute:
