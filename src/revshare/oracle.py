@@ -2,11 +2,11 @@
 
 Nothing here evaluates Lambert W or any W-based formula: leader problems
 are solved by a coarse grid, golden section at every local grid maximum
-and a slope-sign bisection, follower problems by bounded golden-section,
-the bargaining stage by a multistart grid-golden-bisection search over
-log total effort, with the split at each total in closed form, and the
-nested cooperative game by a share grid with golden section at every local
-maximum over those bargains. When these and the closed forms disagree, the
+and a slope-sign bisection; follower problems by the slope-sign bisection
+alone; the bargaining stage by a multistart grid-golden-bisection search
+over log total effort, with the split at each total in closed form; and
+the nested cooperative game by a share grid with golden section at every
+local maximum over those bargains. When these and the closed forms disagree, the
 numbers computed here are authoritative.
 """
 from __future__ import annotations

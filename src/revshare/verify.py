@@ -60,7 +60,7 @@ def scenario_gap_battery(r: float, c1: float, c2: float, n: int) -> dict[str, tu
 
     The share gap compares the closed-form share with the grid/golden
     leader optimum of the reduced objective; the effort gap compares each
-    equilibrium effort with the golden-section best response it should be.
+    equilibrium effort with the numeric best response it should be.
     """
     gaps: dict[str, tuple[float, float]] = {}
     k = c1 + c2

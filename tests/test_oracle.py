@@ -49,8 +49,8 @@ class TestBestResponseEffort:
         assert best_response_effort(0.3421, 10.0, 0.5, 5.842) == pytest.approx(0.0, abs=1e-8)
 
     def test_efforts_beyond_the_old_bisection_stop_end(self):
-        # float spacing near 1e12 exceeds any fixed effort tolerance below
-        # 1e-4; a stop on bracket width never ended here
+        # float spacing near 1e12 is 1.2e-4, so the search must stop on
+        # adjacent floats rather than on a fixed bracket width
         assert best_response_effort(1.0, 1e12, 1.0, 0.0) == 1e12 - 1.0
         assert best_response_effort(0.5, 1e300, 2.0, 3.0) == pytest.approx(2.5e299, rel=1e-15)
 
