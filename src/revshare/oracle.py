@@ -3,14 +3,17 @@
 Nothing here evaluates Lambert W or any W-based formula: leader problems
 are solved by a coarse grid, golden section at every local grid maximum
 and a slope-sign bisection; follower problems by the slope-sign bisection
-alone; the bargaining stage by a multistart grid-golden-bisection search
-over log total effort, with the split at each total in closed form; and
-the nested cooperative game by a share grid with golden section at every
-local maximum over those bargains. When these and the closed forms disagree, the
-numbers computed here are authoritative.
+alone; the bargaining stage by a multistart search over log total effort
+(the starts interleave into one shared grid, and each grid peak a start
+climbs to is refined once, by golden section and a slope-sign bisection),
+with the split at each total in closed form; and the nested cooperative
+game by a share grid with golden section at every local maximum over those
+bargains. When these and the closed forms disagree, the numbers computed
+here are authoritative.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,11 +48,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LEADER_GRID = 65
 _REFINE_TOL = 1e-10
 _NASH_STARTS = 8
-# Independent starts must land on the same maximizer for the bargaining
-# stage to count as converged (the solution is unique when it exists).
+# Every start must land on the same maximizer for the bargaining stage to
+# count as converged (the solution is unique when it exists).
 _AGREEMENT_TOL = 1e-6
 _PENALTY = 1e6
-_NASH_GRID = 64  # points per start over the 25 units of log total effort
+# Points per start over the 25 units of log total effort; the starts' grids
+# interleave into one grid of _NASH_GRID * starts points, evaluated once.
+_NASH_GRID = 64
 # Coarse outer grid for the nested leader search; each evaluation runs a
 # full bargaining solve.
 _NESTED_GRID = 41
@@ -72,7 +77,9 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     """Golden-section maximizer of a unimodal f on [lo, hi].
 
     Shrinks the bracket until its width is below tol and returns the best
-    point seen (bracket midpoint or either endpoint).
+    of the final bracket's midpoint and the endpoints lo and hi. Where the
+    midpoint scores minus infinity (an infeasible point at the edge of a
+    feasible window), the last two interior points stand in for it.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -90,7 +97,9 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
             d = a + _INVPHI * (b - a)
             fd = f(d)
     mid = 0.5 * (a + b)
-    best = max(((f(x), x) for x in (mid, lo, hi)), key=lambda t: t[0])
+    fm = f(mid)
+    inner = [(fc, c), (fd, d)] if fm == -math.inf else [(fm, mid)]
+    best = max(inner + [(f(x), x) for x in (lo, hi)], key=lambda t: t[0])
     return best[1]
 
 
@@ -216,11 +225,20 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
     fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
     (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
-    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. Each of
-    ``starts`` phase-shifted grids over log T in
-    [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2), refines every local
-    maximum by golden section (a penalty outside positive surpluses leads
-    into a narrow feasible window), then by bisecting the analytic slope.
+    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1].
+
+    The ``starts`` grids over log T in [log(hi) - 25, log(hi)],
+    hi = beta*r/min(c1, c2), are shifted by phases (k + 0.5)/starts, so
+    together they form one uniform grid whose every ``starts``-th point
+    belongs to start k; it is evaluated once. Each start finds the local
+    maxima of its own points and climbs from each, uphill on the shared
+    grid, to a shared-grid peak. Each such peak is refined once, by golden
+    section over its two neighbouring cells (a penalty outside positive
+    surpluses leads into a narrow feasible window) and by bisecting the
+    analytic slope, and every start that reaches it takes the result. A
+    start whose own points miss the global basin still ends on a lower
+    peak, so the spread of the starts' maximizers
+    (``multistart_agreement``) keeps measuring uniqueness.
 
     Raises
     ------
@@ -241,15 +259,24 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
 
     def point(z):
         t = math.exp(z)
-        a, b = br * math.log1p(t) - c1 * t, br * math.log1p(t) - c2 * t
+        g = br * math.log1p(t)
+        a, b = g - c1 * t, g - c2 * t
         # with margins of opposite sign the product rises towards the positive one
         s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
         s = min(s, 1.0) if s > 0.0 else 0.0
         return t, s, s * a - d1, (1.0 - s) * b - d2
 
     def merit(z):
-        _, _, f1, f2 = point(z)
-        return math.log(f1) + math.log(f2) if f1 > 0.0 and f2 > 0.0 else min(f1, f2) - _PENALTY
+        # point() inlined: this is the search's inner loop
+        t = math.exp(z)
+        g = br * math.log1p(t)
+        a, b = g - c1 * t, g - c2 * t
+        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = min(s, 1.0) if s > 0.0 else 0.0
+        f1, f2 = s * a - d1, (1.0 - s) * b - d2
+        if f1 > 0.0 and f2 > 0.0:
+            return math.log(f1) + math.log(f2)
+        return (f2 if f2 < f1 else f1) - _PENALTY  # min(f1, f2), NaN included
 
     def rising(z):
         # envelope theorem: at the best split the T-slope holds s fixed
@@ -257,22 +284,39 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         rate = br / (1.0 + t)
         return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
 
-    def refine(lo, hi):
-        z = golden_section_max(merit, lo, hi, tol=1e-7)
-        z = _slope_polish(rising, z, max(z - 1e-5, z_lo), min(z + 1e-5, z_hi))
-        return merit(z), z
-
     # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
     idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
             for z in (max(math.log(br / c - 1.0), z_lo),)]
 
-    def search(phase):
-        zs = [z_lo, *(z_lo + (j + phase) * 25.0 / _NASH_GRID for j in range(_NASH_GRID)), z_hi]
-        v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
-        return point(max([refine(zs[j - 1], zs[j + 1]) for j in range(1, _NASH_GRID + 1)
-                          if v[j - 1] < v[j] >= v[j + 1]] + idle)[1])
+    # start k owns union points k, k + starts, ...: the grid of phase (k + 0.5)/starts
+    phases = [(k + 0.5) / starts for k in range(starts)]
+    zs = [z_lo, *(z_lo + (j + p) * 25.0 / _NASH_GRID for j in range(_NASH_GRID) for p in phases),
+          z_hi]
+    v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
 
-    found = [p for p in map(search, ((k + 0.5) / starts for k in range(starts)))
+    def climb(i):
+        # uphill on the union grid to a point with v[i-1] < v[i] >= v[i+1]
+        while True:
+            if v[i + 1] > v[i]:
+                i += 1
+            elif v[i - 1] >= v[i]:
+                i -= 1
+            else:
+                return i
+
+    def peaks(k):
+        own = [-math.inf, *v[k + 1:-1:starts], -math.inf]
+        return {climb((j - 1) * starts + k + 1) for j in range(1, _NASH_GRID + 1)
+                if own[j - 1] < own[j] >= own[j + 1]}
+
+    def refine(i):
+        z = golden_section_max(merit, zs[i - 1], zs[i + 1], tol=1e-7)
+        z = _slope_polish(rising, z, max(z - 1e-5, z_lo), min(z + 1e-5, z_hi))
+        return merit(z), z
+
+    reached = [peaks(k) for k in range(starts)]
+    refined = {i: refine(i) for i in set().union(*reached)}
+    found = [p for p in (point(max([refined[i] for i in r] + idle)[1]) for r in reached)
              if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
@@ -327,8 +371,8 @@ def solve_asymmetric_cooperative(
     Outer stage: the CP's share beta is scanned on a coarse grid and every
     local grid maximum is refined by golden section, scoring each beta by
     (1-beta)*r*log(T+1) where T comes from the inner Nash-product
-    maximization; the best refined or grid share wins. Infeasible bargains
-    score minus infinity. Pass ``beta`` to skip the outer stage.
+    maximization (each share is scored once); the best refined or grid
+    share wins. Infeasible bargains score minus infinity. Pass ``beta`` to skip the outer stage.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
@@ -342,6 +386,7 @@ def solve_asymmetric_cooperative(
     if disagreement.kind == "regulated-competitive":
         d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2)
 
+    @functools.cache  # golden section re-scores its bracket ends and its result
     def cp_value(b: float) -> float:
         if not 1e-6 < b < 1.0 - 1e-12:
             return -math.inf

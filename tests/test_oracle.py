@@ -261,6 +261,26 @@ class TestNashProductMaximize:
         assert result.efforts.efforts[0] == pytest.approx(0.0, abs=1e-6)
         assert result.efforts.efforts[1] == pytest.approx(3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("d1,d2,total", [
+        (0.0, 0.0, 3.874508161775093),
+        (-0.5, -0.3, 3.8849712028319505),
+    ])
+    def test_starts_share_one_refinement_per_peak(self, monkeypatch, d1, d2, total):
+        # all eight starts climb to the same union-grid peak, which is refined
+        # once; refining it per start (eight times) gave the same total
+        calls = []
+        real = oracle.golden_section_max
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "golden_section_max", counted)
+        result = nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1, d2, starts=8)
+        assert len(calls) == 1
+        assert result.converged
+        assert result.efforts.total == pytest.approx(total, rel=1e-12)
+
 
 def _log_nash_product(r, c1, c2, beta, d1, d2, x, y):
     total = x + y
@@ -313,6 +333,88 @@ def test_nash_search_is_stationary_and_beats_a_dense_grid(c1, c2, margin, beta, 
     zs = np.exp(np.linspace(math.log(hi) - 25.0, math.log(hi), 100))
     x, y = np.meshgrid(zs, zs)
     assert at >= float(np.max(_log_nash_product(r, c1, c2, beta, d1, d2, x, y))) - 1e-9
+
+
+def _per_start_nash(r, c1, c2, beta, d1, d2, starts):
+    # nash_product_maximize before its starts shared one grid: each start
+    # scans its own phase-shifted grid and refines each of its own peaks.
+    # Returns whether it converged and the log Nash product it reached.
+    br = beta * r
+    if br / min(c1, c2) <= 1e-3:
+        raise InfeasibleBargainError("share too small for any profitable effort")
+    z_hi = math.log(br / min(c1, c2))
+    z_lo = z_hi - 25.0
+    grid = 64
+
+    def point(z):
+        t = math.exp(z)
+        a, b = br * math.log1p(t) - c1 * t, br * math.log1p(t) - c2 * t
+        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = min(s, 1.0) if s > 0.0 else 0.0
+        return t, s, s * a - d1, (1.0 - s) * b - d2
+
+    def merit(z):
+        _, _, f1, f2 = point(z)
+        return math.log(f1) + math.log(f2) if f1 > 0.0 and f2 > 0.0 else min(f1, f2) - 1e6
+
+    def rising(z):
+        t, s, f1, f2 = point(z)
+        rate = br / (1.0 + t)
+        return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
+
+    def refine(lo, hi):
+        z = oracle.golden_section_max(merit, lo, hi, tol=1e-7)
+        z = oracle._slope_polish(rising, z, max(z - 1e-5, z_lo), min(z + 1e-5, z_hi))
+        return merit(z), z
+
+    idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
+            for z in (max(math.log(br / c - 1.0), z_lo),)]
+
+    def search(phase):
+        zs = [z_lo, *(z_lo + (j + phase) * 25.0 / grid for j in range(grid)), z_hi]
+        v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
+        return point(max([refine(zs[j - 1], zs[j + 1]) for j in range(1, grid + 1)
+                          if v[j - 1] < v[j] >= v[j + 1]] + idle)[1])
+
+    found = [p for p in map(search, ((k + 0.5) / starts for k in range(starts)))
+             if p[2] > 0.0 and p[3] > 0.0]
+    if not found:
+        raise InfeasibleBargainError("no effort pair beats the disagreement point")
+    total, s, f1, f2 = max(found, key=lambda p: math.log(p[2]) + math.log(p[3]))
+    a1, a2 = s * total, (1.0 - s) * total
+    agreement = max(max(abs(t * u - a1), abs(t * (1.0 - u) - a2)) for t, u, _, _ in found)
+    return len(found) == starts and agreement <= 1e-6, math.log(f1) + math.log(f2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(c1=st.floats(0.05, 5.0), c2=st.floats(0.05, 5.0), margin=st.floats(1.05, 100.0),
+       beta=st.floats(0.05, 0.95), sign=st.sampled_from([0.0, 1.0, -1.0]),
+       u1=st.floats(0.0, 0.2), u2=st.floats(0.0, 0.2), starts=st.sampled_from([4, 8]))
+def test_shared_grid_never_loses_to_per_start_search(c1, c2, margin, beta, sign, u1, u2, starts):
+    # Efforts are not compared: on a flat product they differ by up to 1e-3
+    # relative while the products agree. Where the feasible window is
+    # narrower than a start's own cell, a start that steps over it still
+    # climbs into it on the shared grid: the shared search may then find a
+    # bargain, or agree, where the per-start one did not, never the reverse.
+    r = (c1 + c2) * margin
+    d1, d2 = sign * u1 * r, sign * u2 * r
+
+    def outcome(solve):
+        try:
+            return solve(), None
+        except Exception as exc:  # noqa: BLE001 - the types are compared
+            return None, type(exc)
+
+    new, new_error = outcome(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=starts))
+    old, old_error = outcome(lambda: _per_start_nash(r, c1, c2, beta, d1, d2, starts))
+    if old is None:
+        assert new_error is old_error or (new_error is None and old_error is InfeasibleBargainError)
+        return
+    assert new_error is None
+    old_converged, old_log = old
+    assert new.converged or not old_converged
+    new_log = math.log(new.surpluses[0]) + math.log(new.surpluses[1])
+    assert new_log >= old_log - 1e-12 * max(1.0, abs(old_log))
 
 
 class TestSolveAsymmetricCooperative:
@@ -416,6 +518,14 @@ class TestSolveAsymmetricCooperative:
             DisagreementPolicy.custom(-1.2647135566177428, -0.9697533782181277))
         assert outcome.cp_utility >= 16.48044
         assert outcome.contract.joint_share == pytest.approx(0.15971, abs=1e-5)
+
+    def test_optimum_on_the_edge_of_feasible_bargains(self):
+        # the best share sits next to shares no bargain clears: the last
+        # golden-section midpoint is infeasible, and the interior point
+        # beside it (0.450012, worth 5.234107) must beat the grid share 19/42
+        outcome, _ = solve_asymmetric_cooperative(
+            6.383357105265885, 0.42139988868399836, 0.7161587717048995)
+        assert outcome.cp_utility >= 5.2341
 
     @pytest.mark.parametrize("r,c1,c2,d1,d2,floor", [
         (155.82596636139243, 1.7061271731437513, 4.949152408555484,
