@@ -7,6 +7,7 @@ on the same helpers at full sample sizes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -20,10 +21,13 @@ from .model import (
     Branch,
     Contract,
     EffortProfile,
+    InfeasibleEffortError,
     MarketParams,
+    ScenarioKind,
     cp_utility,
     demand,
     isp_utility,
+    pin_cost,
 )
 
 __all__ = ["CheckResult", "run_checks", "scenario_gap_battery", "draw_market"]
@@ -45,8 +49,8 @@ def draw_market(rng: np.random.Generator) -> tuple[float, float, float, int]:
 
 
 def _leader_objective(r: float, cost: float, multiplier: float) -> Callable[[float], float]:
-    """Reduced CP objective over a share x whose follower response is the
-    stationary total x*r/(cost*multiplier)... clipped at zero effort."""
+    """Reduced CP objective over a share x whose follower total effort is
+    max(0, multiplier*x*r/cost - 1), the stationary total clipped at zero."""
 
     def objective(x: float) -> float:
         total = max(0.0, multiplier * x * r / cost - 1.0)
@@ -59,78 +63,76 @@ def scenario_gap_battery(r: float, c1: float, c2: float, n: int) -> dict[str, tu
     """Closed-form-vs-oracle gaps per scenario: (share gap, effort gap).
 
     The share gap compares the closed-form share with the grid/golden
-    leader optimum of the reduced objective; the effort gap compares each
-    equilibrium effort with the numeric best response it should be.
+    leader optimum of the reduced objective at the scenario's pin cost;
+    the effort gap compares each equilibrium effort with the numeric best
+    response it should be. Scenarios with the same pin cost (and follower
+    multiplier) share one leader search, and equal best-response arguments
+    one best response. Degenerate scenarios have no gap, and neither has
+    public-private-regulated where the public ISP's break-even share is
+    infeasible.
     """
-    gaps: dict[str, tuple[float, float]] = {}
-    k = c1 + c2
+    costs = (c1, c2)
 
+    @functools.cache
+    def leader_share(cost: float, multiplier: float) -> float:
+        return oracle.leader_optimum(_leader_objective(r, cost, multiplier))[0]
+
+    best_response = functools.cache(oracle.best_response_effort)
+    gaps: dict[str, tuple[float, float]] = {}
+
+    def add_gap(name: str, cost: float, share: float, effort: float,
+                multiplier: float = 1.0) -> None:
+        gaps[name] = (abs(leader_share(cost, multiplier) - share),
+                      abs(best_response(multiplier * share, r, cost, 0.0) - effort))
+
+    c = pin_cost(ScenarioKind.SYMMETRIC_COMPETITIVE, (c1,))
     out = closed_form.solve_symmetric_competitive(r, c1, n)
     if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, n))
-        total_share = n * out.contract.shares[0]
-        effort_gap = abs(
-            oracle.best_response_effort(total_share, r, c1, 0.0) - out.total_effort
-        )
-        gaps["symmetric-competitive"] = (abs(beta_star - out.contract.shares[0]), effort_gap)
+        add_gap("symmetric-competitive", c, out.contract.shares[0], out.total_effort, n)
 
     out = closed_form.solve_symmetric_cooperative(r, c1, n)
     if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c1, 1.0))
-        effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, c1, 0.0)
-            - out.total_effort
-        )
-        gaps["symmetric-cooperative"] = (abs(beta_star - out.contract.joint_share), effort_gap)
+        add_gap("symmetric-cooperative", c, out.contract.joint_share, out.total_effort)
 
-    out = closed_form.solve_public_private(r, c1, c2)
-    if not out.degenerate:
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, c2, 1.0))
-        beta2 = out.contract.shares[1]
-        effort_gap = abs(
-            oracle.best_response_effort(beta2, r, c2, 0.0) - out.efforts.efforts[1]
-        )
-        gaps["public-private"] = (abs(beta_star - beta2), effort_gap)
+    public_private = closed_form.solve_public_private(r, c1, c2)
+    if not public_private.degenerate:
+        add_gap("public-private", pin_cost(ScenarioKind.PUBLIC_PRIVATE, costs),
+                public_private.contract.shares[1], public_private.efforts.efforts[1])
 
     cont = closed_form.solve_asymmetric_competitive(r, c1, c2)
     if not cont.degenerate:
-        u_star, _ = oracle.leader_optimum(_leader_objective(r, k, 1.0))
-        share_gap = abs(u_star - cont.shares.total_share)
+        c = pin_cost(ScenarioKind.ASYMMETRIC_COMPETITIVE, costs)
+        share_gap = abs(leader_share(c, 1.0) - cont.shares.total_share)
         outcome = cont.outcome_at(cont.split_parameter)
         effort_gap = 0.0
-        for i, ci in enumerate((c1, c2)):
+        for i, ci in enumerate(costs):
             others = outcome.total_effort - outcome.efforts.efforts[i]
-            br = oracle.best_response_effort(outcome.contract.shares[i], r, ci, others)
+            br = best_response(outcome.contract.shares[i], r, ci, others)
             effort_gap = max(effort_gap, abs(br - outcome.efforts.efforts[i]))
         gaps["asymmetric-competitive"] = (share_gap, effort_gap)
 
-    for branch, cb in ((Branch.ISP1, c1), (Branch.ISP2, c2)):
+    for branch in (Branch.ISP1, Branch.ISP2):
         out = closed_form.solve_regulated_cooperative(r, c1, c2, branch)
-        if out.degenerate:
-            continue
-        beta_star, _ = oracle.leader_optimum(_leader_objective(r, cb, 1.0))
-        effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, cb, 0.0)
-            - out.total_effort
-        )
-        gaps[f"regulated-cooperative-{branch.value}"] = (
-            abs(beta_star - out.contract.joint_share), effort_gap)
+        if not out.degenerate:
+            add_gap(f"regulated-cooperative-{branch.value}",
+                    pin_cost(ScenarioKind.REGULATED_COOPERATIVE, costs, branch),
+                    out.contract.joint_share, out.total_effort)
 
-    if r > c2:
-        budget = closed_form.solve_public_private(r, c1, c2).total_effort
-        a1_bar = 0.3 * budget
+    if not public_private.degenerate:
+        a1_bar = 0.3 * public_private.total_effort
         out = closed_form.solve_fixed_public_effort_coop(r, c1, c2, a1_bar)
-        effort_gap = abs(
-            oracle.best_response_effort(out.contract.joint_share, r, c2, a1_bar)
-            - out.efforts.efforts[1]
-        )
+        c = pin_cost(ScenarioKind.FIXED_PUBLIC_EFFORT_COOPERATIVE, costs)
+        effort_gap = abs(best_response(out.contract.joint_share, r, c, a1_bar)
+                         - out.efforts.efforts[1])
         gaps["fixed-public-effort-cooperative"] = (0.0, effort_gap)
 
-        out = closed_form.solve_public_private_regulated(r, c1, c2, a1_bar)
-        effort_gap = abs(
-            oracle.best_response_effort(out.contract.shares[1], r, c2, a1_bar)
-            - out.efforts.efforts[1]
-        )
+        try:
+            out = closed_form.solve_public_private_regulated(r, c1, c2, a1_bar)
+        except InfeasibleEffortError:
+            return gaps
+        c = pin_cost(ScenarioKind.PUBLIC_PRIVATE_REGULATED, costs)
+        effort_gap = abs(best_response(out.contract.shares[1], r, c, a1_bar)
+                         - out.efforts.efforts[1])
         gaps["public-private-regulated"] = (0.0, effort_gap)
 
     return gaps
