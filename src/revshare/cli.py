@@ -53,7 +53,10 @@ _REPORTS = {
 # Each scenario name's record and its solve or report call.
 _CALLS = {**{kind.value: (SCENARIOS[kind], call) for kind, call in closed_form.SOLVERS.items()},
           **{name: (SCENARIOS[kind], call) for name, (kind, call) in _REPORTS.items()}}
-_SWEEP_PARAMS = ("r", "c", "c1", "c2", "n", "a1-bar", "r2")
+# Each --sweep parameter and the RunSpec field, solver keyword and params key it
+# sets; the cost axes set the cost tuple, from which the c1 and c2 keywords follow.
+_SWEPT_FIELDS = {"r": "r", "c": "costs", "c1": "costs", "c2": "costs", "n": "n",
+                 "a1-bar": "a1_bar", "r2": "r2"}
 # Size caps, checked while parsing so an oversized request allocates nothing:
 # a sweep holds every row in memory, and n sets the length of every row.
 MAX_SWEEP_STEPS = 100_000
@@ -130,8 +133,8 @@ def _parse_sweep(text: str) -> SweepAxis:
     if len(parts) != 4:
         raise UsageError(f"--sweep expects param:from:to:steps, got {text!r}")
     param = parts[0]
-    if param not in _SWEEP_PARAMS:
-        raise UsageError(f"--sweep parameter must be one of {_SWEEP_PARAMS}, got {param!r}")
+    if param not in _SWEPT_FIELDS:
+        raise UsageError(f"--sweep parameter must be one of {tuple(_SWEPT_FIELDS)}, got {param!r}")
     try:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
@@ -152,32 +155,31 @@ def _parse_branch(text: str) -> Branch:
         raise UsageError(f"--branch must be isp1 or isp2, got {text!r}") from None
 
 
+# Each command's flags and their add_argument keywords; a flag's dest is the RunSpec
+# field it sets. No flag has a default, so RunSpec's are the only ones.
+_SOLVE_FLAGS = {
+    "--scenario": {}, "--r": {"type": float}, "--c": {"dest": "costs", "type": _parse_costs},
+    "--n": {"type": int}, "--a1-bar": {"type": float}, "--r2": {"type": float},
+    "--branch": {"type": _parse_branch}, "--disagreement": {"type": _parse_disagreement},
+    "--sweep": {"dest": "sweep_axis", "type": _parse_sweep},
+    "--format": {"dest": "output_format", "choices": ("table", "csv", "json")},
+    "--plot": {}, "--config": {}, "--out": {},
+}
+_FLAGS = {**dict.fromkeys(("solve", "sweep", "compare", "shapley", "nbs"), _SOLVE_FLAGS),
+          "verify": {"--fast": {"action": "store_const", "const": True},
+                     "--config": {}, "--out": {}}}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parsing leaves no state on the parser, and
     # building it costs more than a whole single-point solve
     parser = _Parser(prog="revshare", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("solve", "sweep", "compare", "shapley", "nbs"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--scenario")
-        p.add_argument("--r", type=float)
-        p.add_argument("--c")
-        p.add_argument("--n", type=int)
-        p.add_argument("--a1-bar", dest="a1_bar", type=float)
-        p.add_argument("--r2", type=float)
-        p.add_argument("--branch")
-        p.add_argument("--disagreement")
-        p.add_argument("--sweep")
-        p.add_argument("--format", dest="output_format",
-                       choices=("table", "csv", "json"))
-        p.add_argument("--plot")
-        p.add_argument("--config")
-        p.add_argument("--out")
-    v = sub.add_parser("verify")
-    v.add_argument("--fast", action="store_true")
-    v.add_argument("--config")
-    v.add_argument("--out")
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -187,64 +189,47 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # or undecodable, too deeply nested, too long
         raise UsageError(f"--config: {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"--config: {path!r} must hold a JSON object")
     return cfg
 
 
+def _config_argv(command: str, cfg: dict) -> list[str]:
+    """A config object as the command's flags: key a1_bar is --a1-bar, a list its comma-joined
+    items, true a bare switch; null, false and keys naming no flag of the command are left out."""
+    flags = _FLAGS[command]
+    argv = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags or value is None or value is False:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        # one token, so a value such as -1,-2 is not read as a flag
+        argv.append(flag if value is True else f"{flag}={value}")
+    return argv
+
+
 def parse_args(argv: list[str]) -> RunSpec:
     """Parse argv (deterministically) into a RunSpec.
 
-    A --config JSON file supplies defaults for any field not given as a
-    flag; flags always win. Raises UsageError with the offending flag named
-    on any malformed value.
+    A --config JSON file's values are parsed as flags placed before the
+    command line's own, so the flags given win. Raises UsageError with the
+    offending flag named on any malformed value.
     """
     ns = _build_parser().parse_args(argv)
     if ns.command is None:
         raise UsageError("a command is required: solve, sweep, compare, verify, shapley, nbs")
-    cfg = _load_config(ns.config) if getattr(ns, "config", None) else {}
-
-    def pick(flag, key, fallback=None):
-        return flag if flag is not None else cfg.get(key, fallback)
-
-    spec = RunSpec(command=ns.command)
-    if ns.command == "verify":
-        spec.fast = bool(ns.fast or cfg.get("fast", False))
-        spec.out = pick(ns.out, "out")
+    if ns.config is not None:
+        tokens = _config_argv(ns.command, _load_config(ns.config))
+        ns = _build_parser().parse_args([ns.command, *tokens, *argv[1:]])
+    spec = RunSpec(**{k: v for k, v in vars(ns).items() if v is not None and k != "config"})
+    if spec.command == "verify":
         return spec
-
-    spec.scenario = pick(ns.scenario, "scenario")
-    spec.r = pick(ns.r, "r")
-    raw_costs = pick(ns.c, "c")
-    if raw_costs is not None:
-        if isinstance(raw_costs, (int, float)):
-            spec.costs = (float(raw_costs),)
-        elif isinstance(raw_costs, (list, tuple)):
-            spec.costs = tuple(float(x) for x in raw_costs)
-        else:
-            spec.costs = _parse_costs(str(raw_costs))
-    spec.n = pick(ns.n, "n")
     if spec.n is not None and spec.n > MAX_N:
         raise UsageError(f"--n allows at most {MAX_N}, got {spec.n}")
-    spec.a1_bar = float(pick(ns.a1_bar, "a1_bar", 0.0))
-    spec.r2 = pick(ns.r2, "r2")
-    branch = pick(ns.branch, "branch")
-    if branch is not None:
-        spec.branch = _parse_branch(str(branch))
-    disagreement = pick(ns.disagreement, "disagreement")
-    if disagreement is not None:
-        spec.disagreement = _parse_disagreement(str(disagreement))
-    sweep = pick(ns.sweep, "sweep")
-    if sweep is not None:
-        spec.sweep_axis = _parse_sweep(str(sweep))
-    spec.output_format = pick(ns.output_format, "format", "table")
-    if spec.output_format not in ("table", "csv", "json"):
-        raise UsageError(f"--format must be table, csv or json, got {spec.output_format!r}")
-    spec.plot = pick(ns.plot, "plot")
-    spec.out = pick(ns.out, "out")
-
     if spec.scenario is None:
         raise UsageError("--scenario is required")
     if spec.scenario not in _CALLS:
@@ -415,8 +400,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#e377c2", "#17becf")
 
 
-def _write_svg(path: str, x_label: str, xs: list[float],
-               series: dict[str, list[float]]) -> None:
+def _svg(x_label: str, xs: list[float], series: dict[str, list[float]]) -> str:
     """Minimal SVG line chart: one polyline per metric, linear axes."""
     width, height = 760, 480
     left, right, top, bottom = 80, 20, 30, 50
@@ -462,8 +446,7 @@ def _write_svg(path: str, x_label: str, xs: list[float],
             f'<text x="{left + 8}" y="{top + 14 + 14 * idx}" font-size="12" '
             f'fill="{color}">{name}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -565,12 +548,6 @@ def _sweep_values(axis: SweepAxis) -> list[float]:
     return values
 
 
-# The RunSpec field, solver keyword and params key each sweep axis sets; the
-# cost axes set the cost tuple, from which the c1 and c2 keywords follow.
-_SWEPT_FIELDS = {"r": "r", "r2": "r2", "n": "n", "a1-bar": "a1_bar",
-                 "c": "costs", "c1": "costs", "c2": "costs"}
-
-
 def _swept(spec: RunSpec, param: str, value: float):
     """The value a sweep point gives the field its axis sets."""
     if param == "n":
@@ -608,10 +585,17 @@ def _sweep_payloads(spec: RunSpec, param: str, values: list[float]):
 # --------------------------------------------------------------------------
 # commands
 
+def _write(flag: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
+        raise UsageError(f"{flag}: cannot write {path!r}: {exc}") from None
+
+
 def _emit(spec: RunSpec, text: str) -> None:
     if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write("--out", spec.out, text)
     else:
         sys.stdout.write(text)
 
@@ -633,15 +617,16 @@ def _run_sweep(spec: RunSpec) -> int:
         # flattened as they are made, so no nested payload outlives its row
         table = _flat_table(payloads)
         text = _render_table(table, spec.output_format, sweep=True)
-    _emit(spec, text)
     if spec.plot:
+        # written first, so a plot that cannot be written prints nothing
         header, shapes, rows = table
         columns = zip(*(_aligned(header, shapes[number][0], values)
                         for number, values in rows))
         series = {key: [float(v) for v in column] for key, column in zip(header, columns)
                   if all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in column)}
-        _write_svg(spec.plot, axis.param, values, series)
+        _write("--plot", spec.plot, _svg(axis.param, values, series))
+    _emit(spec, text)
     return 0
 
 

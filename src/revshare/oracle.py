@@ -63,7 +63,7 @@ _NESTED_GRID = 41
 def __getattr__(name):
     # Exists only for perfbench's tracing hook, which wraps
     # ``oracle.minimize`` unconditionally; nothing here calls it. Resolving
-    # it lazily keeps scipy out of ``import revshare``. ROADMAP item 6
+    # it lazily keeps scipy out of ``import revshare``. ROADMAP item 7
     # deletes this once ``spans.install`` tolerates a missing attribute.
     if name == "minimize":
         from scipy.optimize import minimize

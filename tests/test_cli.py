@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -115,6 +116,97 @@ class TestParseArgs:
     def test_missing_command(self):
         with pytest.raises(UsageError):
             parse_args([])
+
+
+_CONFIG_BASE = {"scenario": "symmetric-competitive", "c": [0.5]}
+
+
+def _parse_config(tmp_path, cfg, command="solve"):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return parse_args([command, "--config", str(path)])
+
+
+class TestConfigFile:
+    """A config file's values are parsed by the flags they mirror."""
+
+    def test_string_values_parse_as_their_flags(self, tmp_path):
+        spec = _parse_config(tmp_path, {**_CONFIG_BASE, "r": "10", "n": "2"})
+        assert spec == parse_args(["solve", "--scenario", "symmetric-competitive",
+                                   "--c", "0.5", "--r", "10", "--n", "2"])
+
+    @pytest.mark.parametrize("cfg, flag", [
+        ({"r": 10, "a1_bar": "x"}, "--a1-bar"),
+        ({"r": 10, "n": 2.5}, "--n"),
+        ({"r": True}, "--r"),
+        ({"r": 10, "c": [0.5, "x"]}, "--c"),
+        ({"r": 10, "format": "xml"}, "--format"),
+    ])
+    def test_malformed_values_are_usage_errors_naming_the_flag(self, tmp_path, cfg, flag):
+        with pytest.raises(UsageError, match=rf"{re.escape(flag)}\b"):
+            _parse_config(tmp_path, {**_CONFIG_BASE, **cfg})
+
+    def test_numeric_out_names_a_file(self, tmp_path, monkeypatch, capsys):
+        flags = ["solve", "--scenario", "symmetric-competitive", "--r", "10", "--c", "0.5"]
+        _, expected, _ = _run(capsys, flags)
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({**_CONFIG_BASE, "r": 10, "out": 5}))
+        assert _run(capsys, ["solve", "--config", "run.json"]) == (0, "", "")
+        assert Path("5").read_text() == expected
+
+    def test_zero_rate_reaches_the_positivity_check(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**_CONFIG_BASE, "r": 0}))
+        code, out, err = _run(capsys, ["solve", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert "r must be positive" in err
+
+    @pytest.mark.parametrize("value", ["-1,-2", [-1, -2]])
+    def test_negative_disagreement_values(self, tmp_path, value):
+        spec = _parse_config(tmp_path, {**_CONFIG_BASE, "r": 10, "disagreement": value})
+        assert (spec.disagreement.kind, spec.disagreement.d1, spec.disagreement.d2) == (
+            "custom", -1.0, -2.0)
+
+    def test_switches_and_keys_naming_no_flag(self, tmp_path):
+        cfg = {**_CONFIG_BASE, "r": 10, "fast": True, "n": None, "format": False}
+        assert _parse_config(tmp_path, cfg) == parse_args(
+            ["solve", "--scenario", "symmetric-competitive", "--c", "0.5", "--r", "10"])
+        assert _parse_config(tmp_path, cfg, "verify").fast is True
+        assert _parse_config(tmp_path, {"fast": False}, "verify").fast is False
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}", b"[" * 100_000, b'{"r": ' + b"1" * 5000 + b"}",
+    ], ids=["not-utf8", "too-deep", "too-long-an-integer"])
+    def test_unreadable_json_is_a_usage_error(self, tmp_path, data):
+        path = tmp_path / "run.json"
+        path.write_bytes(data)
+        with pytest.raises(UsageError, match="--config"):
+            parse_args(["solve", "--config", str(path)])
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from(["10", "0.5,1.0", "-1,-2", "zero", "competitive", "isp2", "csv", "json",
+                     "r:1:2:3", "n:1:5:3", "c2:0.5:2:2", *cli._CALLS]))
+_CONFIG_KEYS = st.sampled_from(["scenario", "r", "c", "n", "a1_bar", "a1-bar", "r2", "branch",
+                                "disagreement", "sweep", "format", "plot", "out", "config",
+                                "fast", "costs", "sweep_axis", "help", ""])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "compare", "shapley", "nbs", "verify"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=st.dictionaries(_CONFIG_KEYS, st.one_of(
+    _JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)), max_size=8))
+def test_any_config_parses_or_is_a_usage_error(tmp_path_factory, command, cfg):
+    path = tmp_path_factory.getbasetemp() / "any-config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        spec = parse_args([command, "--config", str(path)])
+    except UsageError:
+        return
+    assert all(value is None or type(value) is float for value in (spec.r, spec.r2, spec.a1_bar))
+    assert spec.n is None or type(spec.n) is int
+    assert spec.costs is None or all(type(cost) is float for cost in spec.costs)
 
 
 def _run(capsys, argv):
@@ -246,6 +338,20 @@ class TestSolveCommand:
         assert json.loads(target.read_text())["degenerate"] is False
 
 
+# Sweeps whose --plot output, and stdout unless it is JSON, match goldens.
+PLOT_EXAMPLES = [
+    # the row shape changes with n, so the per-ISP columns are partly empty
+    ("sweep --scenario symmetric-cooperative --r 10 --c 0.5 --sweep n:1:4:4",
+     "sweep-symmetric-cooperative-n"),
+    # the degenerate flag flips; JSON output, plotted from the flattened rows
+    ("sweep --scenario regulated-cooperative --r 10 --c 0.5,1.0 --sweep r:0.25:3:12 "
+     "--format json", "sweep-regulated-cooperative-r-json"),
+    # the README's plot example: the nested bargain in every row
+    ("sweep --scenario compare-coop-comp --r 10 --c 0.5,1.0 --sweep c2:0.5:4:8 --format csv",
+     "sweep-compare-coop-comp-c2"),
+]
+
+
 class TestSweepCommand:
     def test_isp_count_sweep_keeps_cp_utility_constant(self, capsys):
         code, out, _ = _run(capsys, ["sweep", "--scenario", "symmetric-competitive",
@@ -328,14 +434,7 @@ class TestSweepCommand:
         assert err == ("error in sweep (fixed-public-effort-cooperative): a1_bar=4.0 "
                        "exceeds the total effort budget 3.13366\n")
 
-    @pytest.mark.parametrize("argv, golden", [
-        # the row shape changes with n, so the per-ISP columns are partly empty
-        ("sweep --scenario symmetric-cooperative --r 10 --c 0.5 --sweep n:1:4:4",
-         "sweep-symmetric-cooperative-n"),
-        # the degenerate flag flips; JSON output, plotted from the flattened rows
-        ("sweep --scenario regulated-cooperative --r 10 --c 0.5,1.0 --sweep r:0.25:3:12 "
-         "--format json", "sweep-regulated-cooperative-r-json"),
-    ])
+    @pytest.mark.parametrize("argv, golden", PLOT_EXAMPLES)
     def test_sweep_plot_is_byte_identical(self, capsys, tmp_path, argv, golden):
         target = tmp_path / "sweep.svg"
         code, out, _ = _run(capsys, argv.split() + ["--plot", str(target)])
@@ -343,6 +442,19 @@ class TestSweepCommand:
         assert target.read_text() == (GOLDEN / f"{golden}.svg").read_text()
         if "json" not in argv:
             assert out == (GOLDEN / f"{golden}.txt").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot"])
+@pytest.mark.parametrize("target", ["missing/out.txt", ""], ids=["missing-dir", "directory"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag, target):
+    path = str(tmp_path / target)
+    code, out, err = _run(capsys, ["sweep", "--scenario", "symmetric-competitive", "--r", "10",
+                                   "--c", "0.5", "--sweep", "n:1:4:4", "--format", "csv",
+                                   flag, path])
+    # a plot is written before the sweep prints, so a failed one prints nothing
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: {flag}: cannot write {path!r}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _main(argv):

@@ -11,16 +11,19 @@ regulated-cooperative table whose ``degenerate`` flips as r crosses the
 costs, per-CP csv rows with a degenerate CP, a symmetric table whose row
 shape changes with n, a fixed-public-effort csv whose shares move with
 ``a1_bar``, and sweeps of the ``compare-public-private`` and ``n-scaling``
-reports. The ``compare-coop-comp --sweep ... --plot`` example is left out:
-it runs for tens of seconds and writes a plot file.
+reports. The README's ``compare-coop-comp --sweep ... --plot`` example
+writes a plot file, so ``test_cli.py``'s plot test pins it, stdout and SVG.
 """
+import re
 from pathlib import Path
 
 import pytest
 
 from revshare import cli
+from test_cli import PLOT_EXAMPLES
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 EXAMPLES = {
     "solve-symmetric-competitive": (
@@ -83,3 +86,23 @@ def test_readme_example_output_is_byte_identical(name, capsys):
     assert cli.main(argv.split()) == code
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def _readme_commands() -> list[str]:
+    """Each ``revshare`` command in README's sh blocks, without the program
+    name, its comments and any ``--plot <file>``."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = re.sub(r"--plot \S+", "", line.split("#")[0]).split()
+            if words[:1] == ["revshare"]:
+                commands.append(" ".join(words[1:]))
+    return commands
+
+
+def test_every_readme_example_is_pinned():
+    pinned = {argv for _, argv in EXAMPLES.values()} | {argv for argv, _ in PLOT_EXAMPLES}
+    commands = _readme_commands()
+    assert commands
+    assert [command for command in commands if command not in pinned] == []
