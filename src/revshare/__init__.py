@@ -16,7 +16,6 @@ from .bargaining import (
 )
 from .closed_form import (
     ContinuumEquilibrium,
-    boundary_case_cp_utility,
     solve_asymmetric_competitive,
     solve_fixed_public_effort_coop,
     solve_multi_cp,
@@ -58,11 +57,8 @@ from .model import (
     validate,
 )
 from .oracle import (
-    KktCase,
-    KktRegion,
     best_response_effort,
     golden_section_max,
-    kkt_classify,
     leader_optimum,
     nash_product_maximize,
     shapley_brute,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -145,6 +146,8 @@ def _parse_sweep(text: str) -> SweepAxis:
         raise UsageError(f"--sweep allows at most {MAX_SWEEP_STEPS} steps, got {steps}")
     if param == "n" and not (start <= MAX_N and stop <= MAX_N):
         raise UsageError(f"--sweep n allows at most n={MAX_N}, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise UsageError(f"--sweep bounds and their span must be finite, got {text!r}")
     return SweepAxis(param=param, start=start, stop=stop, steps=steps)
 
 
@@ -594,7 +597,7 @@ def _write(flag: str, path: str, text: str) -> None:
 
 
 def _emit(spec: RunSpec, text: str) -> None:
-    if spec.out:
+    if spec.out is not None:
         _write("--out", spec.out, text)
     else:
         sys.stdout.write(text)
@@ -611,13 +614,13 @@ def _run_sweep(spec: RunSpec) -> int:
     payloads = _sweep_payloads(spec, axis.param, values)
     if spec.output_format == "json":
         payloads = list(payloads)
-        table = _flat_table(payloads) if spec.plot else None
+        table = _flat_table(payloads) if spec.plot is not None else None
         text = _json_text(payloads) + "\n"
     else:
         # flattened as they are made, so no nested payload outlives its row
         table = _flat_table(payloads)
         text = _render_table(table, spec.output_format, sweep=True)
-    if spec.plot:
+    if spec.plot is not None:
         # written first, so a plot that cannot be written prints nothing
         header, shapes, rows = table
         columns = zip(*(_aligned(header, shapes[number][0], values)

@@ -42,7 +42,6 @@ __all__ = [
     "solve_regulated_cooperative_cp_preferred",
     "solve_fixed_public_effort_coop",
     "solve_multi_cp",
-    "boundary_case_cp_utility",
     "symmetric_per_isp_utility_forms",
 ]
 
@@ -387,20 +386,6 @@ SOLVERS: dict[ScenarioKind, Callable[..., tuple]] = {
         branch or Branch.ISP1, solve_multi_cp(r, r2, c1, c2, ScenarioKind.MULTI_CP_COOPERATIVE,
                                               branch or Branch.ISP1)),
 }
-
-
-def boundary_case_cp_utility(r: float, c1: float, c2: float, multiplier: float) -> float:
-    """CP utility if a boundary best-response case with multiplier lam >= 0
-    were imposed: the cost sum shifts to c1 + c2 + lam, which can only
-    lower r*(W-1)^2/W. The interior case is multiplier = 0."""
-    _require_positive(r=r, c1=c1, c2=c2)
-    if multiplier < 0.0:
-        raise ValueError("multiplier must be non-negative")
-    k = c1 + c2 + multiplier
-    if r <= k:
-        return 0.0
-    w = lambert_w0_ratio(r, k)
-    return r * (w - 1.0) ** 2 / w
 
 
 def symmetric_per_isp_utility_forms(r: float, c: float, n: int) -> tuple[float, float]:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .model import (
@@ -30,12 +28,9 @@ from .model import (
 )
 
 __all__ = [
-    "KktRegion",
-    "KktCase",
     "golden_section_max",
     "best_response_effort",
     "leader_optimum",
-    "kkt_classify",
     "nash_product_maximize",
     "solve_asymmetric_cooperative",
     "shapley_brute",
@@ -173,48 +168,6 @@ def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
     found = [(objective(x), x) for x in map(refine, peaks)] + list(zip(vals, xs))
     value, x_star = max(found, key=lambda t: t[0])
     return x_star, value
-
-
-class KktRegion(Enum):
-    """Which complementary-slackness case the share pair lands in."""
-
-    INTERIOR = "interior"      # a1 > 0 and a2 > 0
-    BOUNDARY1 = "boundary1"    # a1 > 0, a2 = 0
-    BOUNDARY2 = "boundary2"    # a1 = 0, a2 > 0
-
-
-@dataclass(frozen=True)
-class KktCase:
-    region: KktRegion
-    multiplier: float
-
-
-def kkt_classify(beta1: float, beta2: float, c1: float, c2: float) -> KktCase:
-    """Classify the two-ISP best-response case for a given share pair.
-
-    Interior requires beta1/beta2 = c1/c2 (to 1e-12); when beta1/beta2 is
-    below the cost ratio the underpaid ISP1 idles (BOUNDARY2), otherwise
-    ISP2 idles (BOUNDARY1). The multiplier solves the active case's ratio
-    equation: beta1/beta2 = (c1 + lam)/c2 for BOUNDARY1 and
-    beta1/beta2 = c1/(c2 + lam) for BOUNDARY2, non-negative in each region.
-    """
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("costs must be positive")
-    if beta1 < 0.0 or beta2 < 0.0:
-        raise ValueError("shares must be non-negative")
-    if beta1 == 0.0 and beta2 == 0.0:
-        raise ValueError("at least one share must be positive; (0, 0) is excluded")
-    if beta2 == 0.0:
-        return KktCase(KktRegion.BOUNDARY1, math.inf)
-    if beta1 == 0.0:
-        return KktCase(KktRegion.BOUNDARY2, math.inf)
-    lhs = beta1 * c2
-    rhs = beta2 * c1
-    if abs(lhs - rhs) <= 1e-12 * max(lhs, rhs):
-        return KktCase(KktRegion.INTERIOR, 0.0)
-    if lhs < rhs:
-        return KktCase(KktRegion.BOUNDARY2, beta2 * c1 / beta1 - c2)
-    return KktCase(KktRegion.BOUNDARY1, beta1 * c2 / beta2 - c1)
 
 
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from revshare.bargaining import (
@@ -19,7 +18,7 @@ from revshare.model import (
     DisagreementPolicy,
     InfeasibleBargainError,
 )
-from revshare.oracle import golden_section_max
+from revshare.verify import _check_nbs_split
 
 from conftest import bisection_w
 
@@ -56,27 +55,7 @@ class TestNbsSplitClosed:
         assert split.beta1 + split.beta2 == pytest.approx(beta, abs=1e-12)
 
     def test_matches_one_dimensional_nash_product_maximization(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            r = float(rng.uniform(4.0, 30.0))
-            beta = float(rng.uniform(0.2, 0.9))
-            cb = float(beta * r / rng.uniform(3.0, 20.0))
-            c1 = float(cb * rng.uniform(0.2, 1.0))
-            c2 = float(cb * rng.uniform(1.0, 2.0))
-            revenue = r * math.log(beta * r / cb)
-            a1 = float(rng.uniform(0.0, 0.25 * beta * revenue / c1))
-            a2 = float(rng.uniform(0.0, 0.25 * beta * revenue / c2))
-            slack = beta * revenue - c1 * a1 - c2 * a2
-            d1 = float(rng.uniform(0.0, 0.3 * slack))
-            d2 = float(rng.uniform(0.0, 0.3 * slack))
-            split = nbs_split_closed(beta, a1, a2, d1, d2, r, c1, c2, cb)
-
-            def product(b1):
-                return ((b1 * revenue - c1 * a1 - d1)
-                        * ((beta - b1) * revenue - c2 * a2 - d2))
-
-            numeric = golden_section_max(product, 0.0, beta, tol=1e-12)
-            assert split.beta1 == pytest.approx(numeric, abs=1e-8)
+        assert _check_nbs_split(30, seed=23).figures["split_gap"] < 1e-8
 
     def test_regulated_branch_with_competitive_disagreement_is_infeasible(self):
         # The effort-follows-share regulation loads effort onto the costlier

@@ -59,6 +59,10 @@ class TestParseArgs:
               "--sweep", "r:1:2:1"], "--sweep"),
             (["solve", "--scenario", "public-private", "--r", "5", "--c", "1,2",
               "--sweep", "r:1:2:5"], "--sweep"),
+            (["sweep", "--scenario", "public-private", "--r", "5", "--c", "1,2",
+              "--sweep", "r:1:inf:3"], "--sweep"),
+            (["sweep", "--scenario", "public-private", "--r", "5", "--c", "1,2",
+              "--sweep", "r:nan:5:3"], "--sweep"),
             (["solve", "--scenario", "public-private", "--r", "5", "--c", "1,2",
               "--disagreement", "half"], "--disagreement"),
         ]
@@ -445,9 +449,10 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize("flag", ["--out", "--plot"])
-@pytest.mark.parametrize("target", ["missing/out.txt", ""], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing/out.txt", "", None],
+                         ids=["missing-dir", "directory", "empty"])
 def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag, target):
-    path = str(tmp_path / target)
+    path = "" if target is None else str(tmp_path / target)
     code, out, err = _run(capsys, ["sweep", "--scenario", "symmetric-competitive", "--r", "10",
                                    "--c", "0.5", "--sweep", "n:1:4:4", "--format", "csv",
                                    flag, path])

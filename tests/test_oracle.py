@@ -19,9 +19,7 @@ from revshare.model import (
     InfeasibleBargainError,
 )
 from revshare.oracle import (
-    KktRegion,
     best_response_effort,
-    kkt_classify,
     leader_optimum,
     nash_product_maximize,
     regulated_competitive_utilities_numeric,
@@ -124,58 +122,6 @@ def test_coarse_leader_search_never_loses_to_the_dense_scan(peaks):
 
     _, value = leader_optimum(objective)
     assert value >= _dense_leader_scan(objective)[1] - 1e-12
-
-
-class TestKktClassify:
-    def test_interior_on_the_cost_ray(self):
-        case = kkt_classify(0.1, 0.2, 0.5, 1.0)
-        assert case.region is KktRegion.INTERIOR
-        assert case.multiplier == 0.0
-
-    def test_boundary_with_multiplier_two(self):
-        # beta1/beta2 = 3 above the cost ratio 1: ISP2 idles and the ratio
-        # equation beta1/beta2 = (c1 + lam)/c2 gives lam = 2
-        case = kkt_classify(0.3, 0.1, 1.0, 1.0)
-        assert case.region is KktRegion.BOUNDARY1
-        assert case.multiplier == pytest.approx(2.0, abs=1e-12)
-
-    def test_underpaid_isp1_idles(self):
-        case = kkt_classify(0.05, 0.4, 0.5, 1.0)
-        assert case.region is KktRegion.BOUNDARY2
-        assert case.multiplier >= 0.0
-
-    def test_zero_share_degenerate_boundaries(self):
-        assert kkt_classify(0.3, 0.0, 1.0, 1.0).region is KktRegion.BOUNDARY1
-        assert kkt_classify(0.0, 0.3, 1.0, 1.0).region is KktRegion.BOUNDARY2
-        with pytest.raises(ValueError):
-            kkt_classify(0.0, 0.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("beta1,beta2,c1,c2", [
-        (0.2, 0.4, 0.5, 1.0),   # interior
-        (0.35, 0.1, 0.5, 1.0),  # ISP2 idles
-        (0.05, 0.45, 0.5, 1.0),  # ISP1 idles
-        (0.25, 0.25, 1.0, 1.0),  # interior, equal costs
-    ])
-    def test_agrees_with_best_response_iteration(self, beta1, beta2, c1, c2):
-        # iterate the two ISPs' numerical best responses to a fixed point
-        # and check it lands in the classified region
-        r = 10.0
-        a1, a2 = 1.0, 1.0
-        for _ in range(300):
-            a1_new = best_response_effort(beta1, r, c1, a2)
-            a2_new = best_response_effort(beta2, r, c2, a1_new)
-            if abs(a1_new - a1) < 1e-11 and abs(a2_new - a2) < 1e-11:
-                a1, a2 = a1_new, a2_new
-                break
-            a1, a2 = a1_new, a2_new
-        case = kkt_classify(beta1, beta2, c1, c2)
-        tol = 1e-6
-        if case.region is KktRegion.INTERIOR:
-            assert a1 + a2 > tol
-        elif case.region is KktRegion.BOUNDARY1:
-            assert a2 <= tol
-        else:
-            assert a1 <= tol
 
 
 class TestNashProductMaximize:
