@@ -1,15 +1,12 @@
 """Brute-force numerical solvers, independent of the closed forms.
 
-Nothing here evaluates Lambert W or any W-based formula: leader problems
-are solved by a coarse grid, golden section at every local grid maximum
-and a slope-sign bisection; follower problems by the slope-sign bisection
-alone; the bargaining stage by a multistart search over log total effort
-(the starts interleave into one shared grid, and each grid peak a start
-climbs to is refined once, by golden section and a slope-sign bisection),
-with the split at each total in closed form; and the nested cooperative
-game by a share grid with golden section at every local maximum over those
-bargains. When these and the closed forms disagree, the numbers computed
-here are authoritative.
+Nothing here evaluates Lambert W or any W-based formula. Follower problems
+are solved by bisecting the sign of the payoff's slope. Leader problems,
+the bargaining stage over log total effort (with the split at each total
+in closed form) and the nested cooperative game's share stage are grid
+searches with one peak rule and one refine step: golden section at every
+grid peak, then, for the first two, a slope-sign bisection. When these and
+the closed forms disagree, the numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -25,6 +22,7 @@ from .model import (
     EffortProfile,
     EquilibriumOutcome,
     InfeasibleBargainError,
+    NonFiniteOutcomeError,
 )
 
 __all__ = [
@@ -136,37 +134,51 @@ def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: floa
     return z
 
 
+def _grid_peaks(vals: list[float]) -> list[int]:
+    """Indices of a grid's peaks: points no lower than either neighbour and
+    higher than one, the ends scored against minus infinity. A flat run
+    counts at both of its edges; a NaN neither is a peak nor makes one.
+    """
+    v = [-math.inf, *vals, -math.inf]
+    return [j for j in range(len(vals))
+            if v[j] <= v[j + 1] >= v[j + 2] and (v[j] < v[j + 1] or v[j + 2] < v[j + 1])]
+
+
+def _refine(f: Callable[[float], float], xs: list[float], j: int, tol: float,
+            rising: Callable[[float], bool] | None = None, h: float = 0.0) -> tuple[float, float]:
+    """Golden section over grid peak j's two neighbouring cells down to tol,
+    then, given ``rising``, the slope-sign polish within h of the result and
+    at least h inside the grid's ends (a slope may be sampled h to either
+    side). Returns (f(x), x) at the refined point x.
+    """
+    lo, hi = xs[max(0, j - 1)], xs[min(len(xs) - 1, j + 1)]
+    x = golden_section_max(f, lo, hi, tol=tol)
+    if rising is not None:
+        x = _slope_polish(rising, x, max(x - h, xs[0] + h), min(x + h, xs[-1] - h))
+    return f(x), x
+
+
 def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
     """Maximize a leader objective over the share interval [0, 1].
 
-    Scans a coarse grid, then refines every local grid maximum by golden
-    section over its two neighbouring cells. The endpoints can count, and a
-    flat run counts at both of its edges, where a peak narrower than a cell
-    can hide: the zero-effort stretch before the narrow profitable window
-    of a market whose r barely exceeds its cost is one. Each refined point
-    is polished by bisecting the sign of the central-difference slope
-    objective(x + h) - objective(x - h), h = 1e-6, within h of it. Returns
-    the best of the refined points and the grid points. Unimodality is not
-    assumed, but a peak narrower than a cell elsewhere can be missed.
+    Scans a coarse grid and refines every grid peak, polishing by the sign
+    of the central-difference slope objective(x + h) - objective(x - h),
+    h = 1e-6. The endpoints can count, and a flat run counts at both of its
+    edges, where a peak narrower than a cell can hide: the zero-effort
+    stretch before the narrow profitable window of a market whose r barely
+    exceeds its cost is one. Returns the best of the refined points and the
+    grid points. Unimodality is not assumed, but a peak narrower than a
+    cell elsewhere can be missed.
     """
-    n = _LEADER_GRID
-    xs = [k / (n - 1) for k in range(n)]
+    xs = [k / (_LEADER_GRID - 1) for k in range(_LEADER_GRID)]
     vals = [objective(x) for x in xs]
     h = 1e-6
 
     def rising(x: float) -> bool:
         return objective(x + h) > objective(x - h)
 
-    def refine(j: int) -> float:
-        lo, hi = xs[max(0, j - 1)], xs[min(n - 1, j + 1)]
-        x = golden_section_max(objective, lo, hi, tol=_REFINE_TOL)
-        # the slope is only sampled inside [0, 1]
-        return _slope_polish(rising, x, max(x - h, lo, h), min(x + h, hi, 1.0 - h))
-
-    v = [-math.inf, *vals, -math.inf]
-    peaks = [j for j in range(n) if max(v[j], v[j + 2]) <= v[j + 1] > min(v[j], v[j + 2])]
-    found = [(objective(x), x) for x in map(refine, peaks)] + list(zip(vals, xs))
-    value, x_star = max(found, key=lambda t: t[0])
+    found = [_refine(objective, xs, j, _REFINE_TOL, rising, h) for j in _grid_peaks(vals)]
+    value, x_star = max(found + list(zip(vals, xs)), key=lambda t: t[0])
     return x_star, value
 
 
@@ -208,6 +220,9 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     if br / min(c1, c2) <= 1e-3:
         raise InfeasibleBargainError("share too small for any profitable effort")
     z_hi = math.log(br / min(c1, c2))
+    if not math.isfinite(z_hi):
+        raise NonFiniteOutcomeError(f"beta*r / min(c) overflows: beta*r = {br:.6g}, "
+                                    f"min(c) = {min(c1, c2):.6g}")
     z_lo = z_hi - 25.0
 
     def point(z):
@@ -258,17 +273,10 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
                 return i
 
     def peaks(k):
-        own = [-math.inf, *v[k + 1:-1:starts], -math.inf]
-        return {climb((j - 1) * starts + k + 1) for j in range(1, _NASH_GRID + 1)
-                if own[j - 1] < own[j] >= own[j + 1]}
-
-    def refine(i):
-        z = golden_section_max(merit, zs[i - 1], zs[i + 1], tol=1e-7)
-        z = _slope_polish(rising, z, max(z - 1e-5, z_lo), min(z + 1e-5, z_hi))
-        return merit(z), z
+        return {climb(j * starts + k + 1) for j in _grid_peaks(v[k + 1:-1:starts])}
 
     reached = [peaks(k) for k in range(starts)]
-    refined = {i: refine(i) for i in set().union(*reached)}
+    refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
     found = [p for p in (point(max([refined[i] for i in r] + idle)[1]) for r in reached)
              if p[2] > 0.0 and p[3] > 0.0]
     if not found:
@@ -356,14 +364,9 @@ def solve_asymmetric_cooperative(
             raise InfeasibleBargainError(
                 "no share in (0, 1) admits a feasible bargain for this disagreement point"
             )
-        # every local grid maximum is refined; a plateau counts at its left edge
-        v = [-math.inf, *vals, -math.inf]
-        refined = [golden_section_max(cp_value, grid[max(0, k - 1)],
-                                      grid[min(_NESTED_GRID - 1, k + 1)], tol=1e-6)
-                   for k in range(_NESTED_GRID) if v[k] < v[k + 1] >= v[k + 2]]
+        found = [_refine(cp_value, grid, j, 1e-6) for j in _grid_peaks(vals)]
         # a refined share wins a tie with a grid share
-        beta_star = max([(cp_value(b), b) for b in refined] + list(zip(vals, grid)),
-                        key=lambda t: t[0])[1]
+        beta_star = max(found + list(zip(vals, grid)), key=lambda t: t[0])[1]
     else:
         beta_star = beta
 
@@ -375,7 +378,7 @@ def solve_asymmetric_cooperative(
     (a1, a2), (f1, f2) = result.efforts.efforts, result.surpluses
     total = a1 + a2
     rate = beta_star * r * math.log1p(total) / total
-    slope = beta_star * r * (total / (1.0 + total) - math.log1p(total)) / total ** 2
+    slope = beta_star * r * (total / (1.0 + total) - math.log1p(total)) / total / total
     grads = ((rate + a1 * slope - c1) / f1 + a2 * slope / f2,
              a1 * slope / f1 + (rate + a2 * slope - c2) / f2)
     residual = total * max(abs(g) if a > 0.0 else max(g, 0.0)

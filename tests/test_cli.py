@@ -621,6 +621,12 @@ class TestCompareCommand:
         assert code == 1
         assert "compare" in err
 
+    def test_overflowing_effort_window_is_a_named_error(self, capsys):
+        code, out, err = _run(capsys, ["compare", "--scenario", "compare-coop-comp",
+                                       "--r", "1e160", "--c", "1e-150,1"])
+        assert (code, out) == (2, "")
+        assert "beta*r / min(c) overflows" in err
+
     def test_n_scaling(self, capsys):
         code, out, _ = _run(capsys, ["compare", "--scenario", "n-scaling",
                                      "--r", "10", "--c", "0.5", "--n", "6",
@@ -662,6 +668,15 @@ class TestNbsCommand:
         assert payload["split"]["beta1"] + payload["split"]["beta2"] == pytest.approx(
             payload["stage1"]["joint_share"], abs=1e-10)
         assert payload["free_form_bargain"]["converged"] is True
+
+    def test_huge_rate_prints_finite_figures(self, capsys):
+        # total effort near 4e197, whose square overflowed in the residual
+        code, out, err = _run(capsys, ["nbs", "--scenario", "regulated-cooperative",
+                                       "--r", "1e200", "--c", "0.5,1",
+                                       "--disagreement", "zero"])
+        assert (code, err) == (0, "")
+        values = {line.split()[-1] for line in out.splitlines()}
+        assert "free_form_bargain.cp_utility" in out and not {"inf", "-inf", "nan"} & values
 
     def test_competitive_disagreement_split_is_infeasible_here(self, capsys):
         code, _, err = _run(capsys, ["nbs", "--scenario", "regulated-cooperative",

@@ -1,5 +1,6 @@
 """Start-up loads only the standard library: numpy is for ``verify`` alone
-and nothing loads scipy."""
+and nothing loads scipy. The oracle reaches no Lambert W."""
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +35,15 @@ def test_minimize_resolves_lazily_to_scipy():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         oracle.no_such_name
+
+
+def test_oracle_imports_from_model_only():
+    # the oracle re-derives what the closed forms compute, so it may reach
+    # neither lambertw nor closed_form; model imports no revshare module
+    local = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("revshare")):
+            local.add(node.module)
+        elif isinstance(node, ast.Import):
+            local.update(a.name for a in node.names if a.name.startswith("revshare"))
+    assert local == {"model"}

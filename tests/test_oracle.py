@@ -17,6 +17,7 @@ from revshare.model import (
     BargainNotConvergedError,
     DisagreementPolicy,
     InfeasibleBargainError,
+    NonFiniteOutcomeError,
 )
 from revshare.oracle import (
     best_response_effort,
@@ -62,6 +63,42 @@ class TestBestResponseEffort:
             expected = max(0.0, beta * r / c - 1.0 - others)
             got = best_response_effort(beta, r, c, others)
             assert got == pytest.approx(expected, abs=1e-8)
+
+
+class TestGridPeaks:
+    def test_flat_run_counts_at_both_edges(self):
+        assert oracle._grid_peaks([0.0, 2.0, 2.0, 2.0, 1.0]) == [1, 3]
+        assert oracle._grid_peaks([2.0, 2.0, 2.0]) == [0, 2]
+
+    def test_ends_count(self):
+        assert oracle._grid_peaks([3.0, 1.0, 2.0]) == [0, 2]
+        assert oracle._grid_peaks([5.0]) == [0]
+
+    def test_all_minus_infinity_has_no_peak(self):
+        assert oracle._grid_peaks([-math.inf] * 5) == []
+
+    def test_nan_neighbour_never_makes_a_peak(self):
+        nan = math.nan
+        assert oracle._grid_peaks([0.0, 1.0, nan]) == []
+        assert oracle._grid_peaks([nan, 1.0, 0.0]) == []
+        assert oracle._grid_peaks([nan, nan]) == []
+        assert oracle._grid_peaks([0.0, 1.0, nan, 2.0, 3.0, 1.0]) == [4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vals=st.lists(st.sampled_from([-math.inf, 0.0, 1.0]), min_size=1, max_size=12))
+def test_grid_peaks_extend_left_edge_peaks_by_right_edges_of_flat_runs(vals):
+    # drawn from three values, so that ties occur. The bargain and outer
+    # scans once counted a flat run at its left edge only; the leader search
+    # wrote the same rule as a max/min comparison, equal to it without NaN
+    v = [-math.inf, *vals, -math.inf]
+    peaks = oracle._grid_peaks(vals)
+    assert peaks == [j for j in range(len(vals))
+                     if max(v[j], v[j + 2]) <= v[j + 1] > min(v[j], v[j + 2])]
+    left_edge = {j for j in range(len(vals)) if v[j] < v[j + 1] >= v[j + 2]}
+    assert left_edge <= set(peaks)
+    for j in set(peaks) - left_edge:
+        assert v[j] == v[j + 1] > v[j + 2]
 
 
 class TestLeaderOptimum:
@@ -188,6 +225,12 @@ class TestNashProductMaximize:
         g1 = (log_product(a1 + h, a2) - log_product(a1 - h, a2)) / (2 * h)
         g2 = (log_product(a1, a2 + h) - log_product(a1, a2 - h)) / (2 * h)
         assert abs(g1) < 1e-4 and abs(g2) < 1e-4
+
+    def test_overflowing_effort_window_is_a_named_error(self):
+        # beta*r/min(c) = 5e309 overflows, which made every merit NaN
+        with pytest.raises(NonFiniteOutcomeError,
+                           match=r"beta\*r = 5e\+159, min\(c\) = 1e-150"):
+            nash_product_maximize(1e160, 1e-150, 1.0, 0.5)
 
     def test_unreachable_disagreement_raises(self):
         with pytest.raises(InfeasibleBargainError):
