@@ -145,10 +145,10 @@ class ShapleyReport:
     """Shapley values for the two ISPs.
 
     ``phi1``/``phi2`` come from the brute-force enumeration over the
-    coalition values and are the authoritative numbers. The direct closed
-    forms are reported alongside because their published derivation
-    disagrees with the enumeration in sign structure; the gap is measured,
-    not resolved.
+    coalition values, kept in ``values``, and are the authoritative
+    numbers. The direct closed forms are reported alongside because their
+    published derivation disagrees with the enumeration in sign structure;
+    the gap is measured, not resolved.
     """
 
     phi1: float
@@ -157,6 +157,7 @@ class ShapleyReport:
     closed_phi2: float
     matches_brute: bool
     discrepancy: float
+    values: dict[frozenset, float]
 
 
 def shapley_closed(r: float, c1: float, c2: float, branch: Branch) -> ShapleyReport:
@@ -187,4 +188,5 @@ def shapley_closed(r: float, c1: float, c2: float, branch: Branch) -> ShapleyRep
         closed_phi2=closed2,
         matches_brute=discrepancy <= 1e-9 * max(1.0, abs(phi1), abs(phi2)),
         discrepancy=discrepancy,
+        values=values,
     )

@@ -14,15 +14,10 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closed_form, oracle
-from .bargaining import (
-    coalition_values,
-    disagreement_point,
-    nbs_split_closed,
-    shapley_closed,
-)
+from .bargaining import disagreement_point, nbs_split_closed, shapley_closed
 from .compare import compare_coop_comp, compare_public_private, n_scaling_report
 from .model import (
     Branch,
@@ -35,7 +30,6 @@ from .model import (
     Scenario,
     ScenarioKind,
     equal_costs,
-    pin_cost,
 )
 
 __all__ = ["RunSpec", "SweepAxis", "UsageError", "parse_args", "run", "main"]
@@ -158,19 +152,16 @@ def _parse_branch(text: str) -> Branch:
         raise UsageError(f"--branch must be isp1 or isp2, got {text!r}") from None
 
 
-# Each command's flags and their add_argument keywords; a flag's dest is the RunSpec
-# field it sets. No flag has a default, so RunSpec's are the only ones.
-_SOLVE_FLAGS = {
+# The flags of every command that solves a market, and their add_argument keywords;
+# a flag's dest is the RunSpec field it sets. No flag has a default, so RunSpec's are
+# the only ones. Each command's flags are in its _COMMANDS row (under "commands").
+_MARKET_FLAGS = {
     "--scenario": {}, "--r": {"type": float}, "--c": {"dest": "costs", "type": _parse_costs},
     "--n": {"type": int}, "--a1-bar": {"type": float}, "--r2": {"type": float},
     "--branch": {"type": _parse_branch}, "--disagreement": {"type": _parse_disagreement},
-    "--sweep": {"dest": "sweep_axis", "type": _parse_sweep},
     "--format": {"dest": "output_format", "choices": ("table", "csv", "json")},
-    "--plot": {}, "--config": {}, "--out": {},
+    "--config": {}, "--out": {},
 }
-_FLAGS = {**dict.fromkeys(("solve", "sweep", "compare", "shapley", "nbs"), _SOLVE_FLAGS),
-          "verify": {"--fast": {"action": "store_const", "const": True},
-                     "--config": {}, "--out": {}}}
 
 
 @functools.cache
@@ -179,9 +170,9 @@ def _build_parser() -> _Parser:
     # building it costs more than a whole single-point solve
     parser = _Parser(prog="revshare", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, flags in _FLAGS.items():
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, keywords in flags.items():
+        for flag, keywords in command.flags.items():
             p.add_argument(flag, **keywords)
     return parser
 
@@ -202,7 +193,7 @@ def _load_config(path: str) -> dict:
 def _config_argv(command: str, cfg: dict) -> list[str]:
     """A config object as the command's flags: key a1_bar is --a1-bar, a list its comma-joined
     items, true a bare switch; null, false and keys naming no flag of the command are left out."""
-    flags = _FLAGS[command]
+    flags = _COMMANDS[command].flags
     argv = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -219,8 +210,9 @@ def parse_args(argv: list[str]) -> RunSpec:
     """Parse argv (deterministically) into a RunSpec.
 
     A --config JSON file's values are parsed as flags placed before the
-    command line's own, so the flags given win. Raises UsageError with the
-    offending flag named on any malformed value.
+    command line's own, so the flags given win. The scenario must be one the
+    command's row names; a row that names one supplies it. Raises UsageError
+    with the offending flag named on any malformed value.
     """
     ns = _build_parser().parse_args(argv)
     if ns.command is None:
@@ -229,20 +221,19 @@ def parse_args(argv: list[str]) -> RunSpec:
         tokens = _config_argv(ns.command, _load_config(ns.config))
         ns = _build_parser().parse_args([ns.command, *tokens, *argv[1:]])
     spec = RunSpec(**{k: v for k, v in vars(ns).items() if v is not None and k != "config"})
-    if spec.command == "verify":
+    scenarios = _COMMANDS[spec.command].scenarios
+    if not scenarios:  # verify solves no market
         return spec
     if spec.n is not None and spec.n > MAX_N:
         raise UsageError(f"--n allows at most {MAX_N}, got {spec.n}")
-    if spec.scenario is None:
-        raise UsageError("--scenario is required")
-    if spec.scenario not in _CALLS:
-        raise UsageError(f"--scenario must be one of {', '.join(_CALLS)}")
-    if spec.sweep_axis is not None and spec.command != "sweep":
-        raise UsageError("--sweep is only valid with the sweep command")
+    if spec.scenario is None and len(scenarios) == 1:
+        spec.scenario = scenarios[0]
+    if spec.scenario not in scenarios:
+        *others, last = scenarios
+        names = f"{', '.join(others)} or {last}" if others else last
+        raise UsageError(f"{spec.command} needs --scenario {names}")
     if spec.command == "sweep" and spec.sweep_axis is None:
         raise UsageError("sweep requires --sweep param:from:to:steps")
-    if spec.plot is not None and spec.command != "sweep":
-        raise UsageError("--plot is only valid with the sweep command")
     if spec.r is None:
         raise UsageError("--r is required")
     if spec.costs is None:
@@ -517,8 +508,11 @@ def _call_for(spec: RunSpec) -> tuple[Scenario, Callable, dict, dict]:
     return record, call, keywords, params
 
 
-def _payload(scenario: str, call: Callable, keywords: dict, params: dict) -> dict:
-    """Run one solve or report call and lay out its payload."""
+def _payload(spec: RunSpec, resolved: tuple | None = None) -> dict:
+    """Run the spec's solve or report call and lay out its payload. A sweep
+    passes each point's ``_call_for`` result, which it resolves once."""
+    _, call, keywords, params = _call_for(spec) if resolved is None else resolved
+    scenario = spec.scenario
     if scenario in _REPORTS:
         report = call(**keywords)
         return {
@@ -537,10 +531,6 @@ def _payload(scenario: str, call: Callable, keywords: dict, params: dict) -> dic
         return {"scenario": scenario, "params": params,
                 "per_cp": [_outcome_body(o) for o in solved]}
     return {"scenario": scenario, "params": params, **_outcome_body(solved)}
-
-
-def _payload_for(spec: RunSpec) -> dict:
-    return _payload(spec.scenario, *_call_for(spec)[1:])
 
 
 def _sweep_values(axis: SweepAxis) -> list[float]:
@@ -582,7 +572,7 @@ def _sweep_payloads(spec: RunSpec, param: str, values: list[float]):
             params["costs"] = list(value)
         else:
             keywords[name] = params[name] = value
-        yield _payload(spec.scenario, call, keywords, dict(params))
+        yield _payload(spec, (record, call, keywords, dict(params)))
 
 
 # --------------------------------------------------------------------------
@@ -601,11 +591,6 @@ def _emit(spec: RunSpec, text: str) -> None:
         _write("--out", spec.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _run_solve(spec: RunSpec) -> int:
-    _emit(spec, _render(_payload_for(spec), spec.output_format))
-    return 0
 
 
 def _run_sweep(spec: RunSpec) -> int:
@@ -649,17 +634,16 @@ def _run_verify(spec: RunSpec) -> int:
     return 0 if ok else 2
 
 
-def _run_shapley(spec: RunSpec) -> int:
+def _shapley_payload(spec: RunSpec) -> dict:
     c1, c2 = _cost_args(spec.scenario, spec.costs)
     branch = spec.branch or Branch.ISP1
     report = shapley_closed(spec.r, c1, c2, branch)
-    values = coalition_values(spec.r, c1, c2, branch)
-    payload = {
+    return {
         "params": {"r": spec.r, "costs": [c1, c2], "branch": branch.value},
         "coalition_values": {
-            "isp1": values[frozenset({1})],
-            "isp2": values[frozenset({2})],
-            "both": values[frozenset({1, 2})],
+            "isp1": report.values[frozenset({1})],
+            "isp2": report.values[frozenset({2})],
+            "both": report.values[frozenset({1, 2})],
         },
         "shapley": {
             "phi1": report.phi1,
@@ -670,19 +654,22 @@ def _run_shapley(spec: RunSpec) -> int:
             "discrepancy": report.discrepancy,
         },
     }
-    _emit(spec, _render(payload, spec.output_format))
-    return 0
 
 
-def _run_nbs(spec: RunSpec) -> int:
-    c1, c2 = _cost_args(spec.scenario, spec.costs)
-    kind = ScenarioKind.REGULATED_COOPERATIVE
-    branch, outcome = closed_form.SOLVERS[kind](r=spec.r, c1=c1, c2=c2, branch=spec.branch)
+def _nbs_payload(spec: RunSpec) -> dict:
+    # stage 1 is the solve that `solve --scenario regulated-cooperative` prints
+    record, call, keywords, _ = _call_for(spec)
+    c1, c2 = keywords["c1"], keywords["c2"]
+    branch, outcome = call(**keywords)
     if outcome.degenerate:
         raise DegenerateRegimeError("regulated cooperative solve is degenerate")
     d1, d2 = disagreement_point(spec.disagreement, spec.r, c1, c2)
     a1, a2 = outcome.efforts.efforts
-    payload = {
+    split = nbs_split_closed(outcome.contract.joint_share, a1, a2, d1, d2,
+                             spec.r, c1, c2, record.pin((c1, c2), branch))
+    nested_outcome, bargain = oracle.solve_asymmetric_cooperative(
+        spec.r, c1, c2, disagreement=spec.disagreement)
+    return {
         "params": {"r": spec.r, "costs": [c1, c2], "branch": branch.value,
                    "disagreement": spec.disagreement.kind},
         "disagreement_point": [d1, d2],
@@ -691,50 +678,56 @@ def _run_nbs(spec: RunSpec) -> int:
             "efforts": [a1, a2],
             "total_effort": outcome.total_effort,
         },
+        "split": {
+            "beta1": split.beta1,
+            "beta2": split.beta2,
+            "clamped": split.clamped,
+        },
+        "free_form_bargain": {
+            "joint_share": nested_outcome.contract.joint_share,
+            "efforts": list(bargain.efforts.efforts),
+            "share_split": list(bargain.share_split),
+            "surpluses": list(bargain.surpluses),
+            "cp_utility": nested_outcome.cp_utility,
+            "converged": bargain.converged,
+            "multistart_agreement": bargain.multistart_agreement,
+        },
     }
-    split = nbs_split_closed(outcome.contract.joint_share, a1, a2, d1, d2,
-                             spec.r, c1, c2, pin_cost(kind, (c1, c2), branch))
-    payload["split"] = {
-        "beta1": split.beta1,
-        "beta2": split.beta2,
-        "clamped": split.clamped,
-    }
-    nested_outcome, bargain = oracle.solve_asymmetric_cooperative(
-        spec.r, c1, c2, disagreement=spec.disagreement)
-    payload["free_form_bargain"] = {
-        "joint_share": nested_outcome.contract.joint_share,
-        "efforts": list(bargain.efforts.efforts),
-        "share_split": list(bargain.share_split),
-        "surpluses": list(bargain.surpluses),
-        "cp_utility": nested_outcome.cp_utility,
-        "converged": bargain.converged,
-        "multistart_agreement": bargain.multistart_agreement,
-    }
-    _emit(spec, _render(payload, spec.output_format))
-    return 0
+
+
+class _Command(NamedTuple):
+    """A command's flags, the scenario names it takes and how it prints:
+    run() renders the one payload ``payload`` builds, or ``printer`` prints
+    and returns the exit status."""
+
+    flags: dict[str, dict]
+    scenarios: tuple[str, ...] = ()
+    payload: Callable[[RunSpec], dict] | None = None
+    printer: Callable[[RunSpec], int] | None = None
+
+
+# Both bargain commands solve the regulated cooperative market only.
+_BARGAIN_SCENARIOS = (ScenarioKind.REGULATED_COOPERATIVE.value,)
+_COMMANDS = {
+    "solve": _Command(_MARKET_FLAGS, tuple(kind.value for kind in closed_form.SOLVERS),
+                      payload=_payload),
+    "sweep": _Command({**_MARKET_FLAGS, "--sweep": {"dest": "sweep_axis", "type": _parse_sweep},
+                       "--plot": {}}, tuple(_CALLS), printer=_run_sweep),
+    "compare": _Command(_MARKET_FLAGS, tuple(_REPORTS), payload=_payload),
+    "shapley": _Command(_MARKET_FLAGS, _BARGAIN_SCENARIOS, payload=_shapley_payload),
+    "nbs": _Command(_MARKET_FLAGS, _BARGAIN_SCENARIOS, payload=_nbs_payload),
+    "verify": _Command({"--fast": {"action": "store_const", "const": True},
+                        "--config": {}, "--out": {}}, printer=_run_verify),
+}
 
 
 def run(spec: RunSpec) -> int:
     """Execute a RunSpec; returns the process exit status."""
-    if spec.command == "solve":
-        return _run_solve(spec)
-    if spec.command == "sweep":
-        return _run_sweep(spec)
-    if spec.command == "compare":
-        if spec.scenario not in _REPORTS:
-            raise UsageError(f"compare needs a comparison scenario: {', '.join(_REPORTS)}")
-        return _run_solve(spec)
-    if spec.command == "verify":
-        return _run_verify(spec)
-    # both bargain commands solve the regulated cooperative market only
-    if spec.command in ("shapley", "nbs") and spec.scenario != ScenarioKind.REGULATED_COOPERATIVE:
-        raise UsageError(f"{spec.command} needs --scenario "
-                         f"{ScenarioKind.REGULATED_COOPERATIVE.value}")
-    if spec.command == "shapley":
-        return _run_shapley(spec)
-    if spec.command == "nbs":
-        return _run_nbs(spec)
-    raise UsageError(f"unknown command {spec.command!r}")
+    command = _COMMANDS[spec.command]
+    if command.printer is not None:
+        return command.printer(spec)
+    _emit(spec, _render(command.payload(spec), spec.output_format))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

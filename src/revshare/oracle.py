@@ -277,8 +277,9 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
 
     reached = [peaks(k) for k in range(starts)]
     refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
-    found = [p for p in (point(max([refined[i] for i in r] + idle)[1]) for r in reached)
-             if p[2] > 0.0 and p[3] > 0.0]
+    # a start that reaches no peak has no candidate unless an idle point stands in
+    candidates = [[refined[i] for i in r] + idle for r in reached]
+    found = [p for p in (point(max(c)[1]) for c in candidates if c) if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
             f"no effort pair beats the disagreement point (d1={d1:.6g}, d2={d2:.6g})"
@@ -300,7 +301,8 @@ def regulated_competitive_utilities_numeric(
         r: float, c1: float, c2: float) -> tuple[float, float]:
     """Per-ISP utilities of the regulated competitive benchmark, derived
     entirely from searches: total share u from the leader scan over the
-    searched aggregate response, split proportional to cost.
+    searched aggregate response, split proportional to cost. A utility
+    that overflows or is undefined raises NonFiniteOutcomeError.
     """
     k = c1 + c2
 
@@ -320,6 +322,10 @@ def regulated_competitive_utilities_numeric(
         share = u_star * ci / k
         effort = ci / k * total
         utilities.append(share * r * d - ci * effort)
+    if not all(map(math.isfinite, utilities)):
+        raise NonFiniteOutcomeError(f"non-finite regulated competitive utilities "
+                                    f"({utilities[0]:.6g}, {utilities[1]:.6g}) "
+                                    f"at total effort {total:.6g}")
     return utilities[0], utilities[1]
 
 

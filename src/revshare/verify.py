@@ -318,15 +318,11 @@ def _check_nbs_split(draws: int = 40, seed: int = 505) -> CheckResult:
 
 
 def _check_shapley() -> CheckResult:
-    from .bargaining import coalition_values
-
     r, c1, c2 = 10.0, 0.5, 1.0
-    values = coalition_values(r, c1, c2, Branch.ISP1)
-    phi1, phi2 = oracle.shapley_brute(lambda s: values[frozenset(s)])
-    efficiency = abs(phi1 + phi2 - values[frozenset({1, 2})])
+    report = shapley_closed(r, c1, c2, Branch.ISP1)
+    efficiency = abs(report.phi1 + report.phi2 - report.values[frozenset({1, 2})])
     sym = shapley_closed(r, c1, c1, Branch.ISP1)
     symmetric_ok = abs(sym.phi1 - sym.phi2) < 1e-9
-    report = shapley_closed(r, c1, c2, Branch.ISP1)
     ok = efficiency < 1e-12 and symmetric_ok
     return CheckResult(
         "shapley-axioms", ok,

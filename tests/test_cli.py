@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revshare import cli, closed_form, oracle
+from revshare import bargaining, cli, closed_form, oracle
 from revshare.cli import SweepAxis, UsageError, parse_args
 from revshare.model import SCENARIOS, Branch, MarketParams, ScenarioKind, validate
 
@@ -178,6 +178,11 @@ class TestConfigFile:
         assert _parse_config(tmp_path, cfg, "verify").fast is True
         assert _parse_config(tmp_path, {"fast": False}, "verify").fast is False
 
+    def test_sweep_keys_are_left_out_for_other_commands(self, tmp_path):
+        cfg = {**_CONFIG_BASE, "r": 10, "plot": "x.svg", "sweep": "r:1:2:3"}
+        assert _parse_config(tmp_path, cfg) == parse_args(
+            ["solve", "--scenario", "symmetric-competitive", "--c", "0.5", "--r", "10"])
+
     @pytest.mark.parametrize("data", [
         b"\xff\xfe{}", b"[" * 100_000, b'{"r": ' + b"1" * 5000 + b"}",
     ], ids=["not-utf8", "too-deep", "too-long-an-integer"])
@@ -217,6 +222,56 @@ def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SOLVED = {kind.value for kind in ScenarioKind}
+_REPORTED = {"compare-public-private", "compare-coop-comp", "n-scaling"}
+# The scenario names each command takes.
+_TAKES = {"solve": _SOLVED, "sweep": _SOLVED | _REPORTED, "compare": _REPORTED,
+          "shapley": {"regulated-cooperative"}, "nbs": {"regulated-cooperative"},
+          "verify": set()}
+
+
+def _refuse_to_run(spec):
+    pytest.fail("parsed an invocation that is a usage error")
+
+
+@pytest.mark.parametrize("name", [*cli._CALLS, "no-such-scenario"])
+@pytest.mark.parametrize("command", list(_TAKES))
+def test_each_command_takes_exactly_its_scenarios(command, name, monkeypatch, capsys):
+    argv = [command, "--scenario", name]
+    if command != "verify":
+        argv += ["--r", "10", "--c", "0.5,1.0"]
+    if command == "sweep":
+        argv += ["--sweep", "r:1:2:3"]
+    if name in _TAKES[command]:
+        assert parse_args(argv).scenario == name
+        return
+    # a usage error at parse time: run() is never reached
+    monkeypatch.setattr(cli, "run", _refuse_to_run)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
+
+
+def test_solve_rejects_the_comparison_reports(capsys):
+    code, out, err = _run(capsys, ["solve", "--scenario", "compare-coop-comp",
+                                   "--r", "10", "--c", "0.5,1.0"])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: solve needs --scenario public-private, "
+                   "public-private-regulated, symmetric-competitive, symmetric-cooperative, "
+                   "asymmetric-competitive, regulated-competitive, regulated-cooperative, "
+                   "fixed-public-effort-cooperative, multi-cp-competitive or "
+                   "multi-cp-cooperative\n")
+
+
+@pytest.mark.parametrize("flag", ["--plot=x.svg", "--sweep=r:1:2:3"])
+@pytest.mark.parametrize("command", ["solve", "compare", "shapley", "nbs"])
+def test_sweep_flags_are_usage_errors_for_other_commands(command, flag, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", _refuse_to_run)
+    code, out, err = _run(capsys, [command, "--r", "10", "--c", "0.5,1.0", flag])
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 class TestSolveCommand:
@@ -647,6 +702,18 @@ class TestShapleyCommand:
         assert payload["shapley"]["phi1"] == pytest.approx(2.31580295250659, abs=1e-9)
         assert payload["shapley"]["matches_brute"] is False
         assert payload["shapley"]["discrepancy"] > 1.0
+
+    def test_one_regulated_cooperative_solve(self, capsys, monkeypatch):
+        real, calls = closed_form.solve_regulated_cooperative, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (closed_form, bargaining):
+            monkeypatch.setattr(module, "solve_regulated_cooperative", counted)
+        assert _run(capsys, ["shapley", "--r", "10", "--c", "0.5,1.0"])[0] == 0
+        assert calls == [(10.0, 0.5, 1.0, Branch.ISP1)]
 
 
 @pytest.mark.parametrize("command", ["nbs", "shapley"])

@@ -232,6 +232,12 @@ class TestNashProductMaximize:
                            match=r"beta\*r = 5e\+159, min\(c\) = 1e-150"):
             nash_product_maximize(1e160, 1e-150, 1.0, 0.5)
 
+    def test_effort_costs_overflowing_the_whole_window_are_infeasible(self):
+        # max(c)*T overflows at every grid point, so no start reaches a peak
+        # and no idle point stands in; this raised on an empty max()
+        with pytest.raises(InfeasibleBargainError, match="no effort pair beats"):
+            nash_product_maximize(5.87e-58, 2.77e205, 1.45e-289, 0.5)
+
     def test_unreachable_disagreement_raises(self):
         with pytest.raises(InfeasibleBargainError):
             nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1=50.0, d2=50.0)
@@ -556,6 +562,19 @@ def test_numeric_disagreement_ends_on_a_large_market():
     closed = solve_regulated_competitive(1e9, 0.5, 1.0)
     numeric = regulated_competitive_utilities_numeric(1e9, 0.5, 1.0)
     assert numeric == pytest.approx(closed.isp_utilities, rel=1e-9)
+
+
+@pytest.mark.parametrize("solve, args", [
+    # the total effort overflows to inf, and each utility is inf - inf
+    (regulated_competitive_utilities_numeric, (1e200, 1e-200, 1e-150)),
+    # the nested solve's default disagreement point is that benchmark
+    (solve_asymmetric_cooperative,
+     (1.260936773127558e+118, 6.4861994492187215e-270, 5.351253761485412e-198)),
+])
+def test_overflowed_disagreement_point_is_a_named_error(solve, args):
+    with pytest.raises(NonFiniteOutcomeError,
+                       match=r"utilities \(nan, nan\) at total effort inf"):
+        solve(*args)
 
 
 class TestShapleyBrute:
