@@ -129,8 +129,12 @@ def coalition_values(r: float, c1: float, c2: float, branch: Branch) -> dict[fro
     v({1,2}) = r*(1 - 2/W(r*e/c2)) + a1*(c2 - c1) + c2, with a1 the
     regulated-cooperative effort of ISP1 on the chosen branch.
     """
-    w1 = lambert_w0_ratio(r, c1)
-    w2 = lambert_w0_ratio(r, c2)
+    return _coalition_values(r, c1, c2, branch, lambert_w0_ratio(r, c1), lambert_w0_ratio(r, c2))
+
+
+def _coalition_values(r: float, c1: float, c2: float, branch: Branch,
+                      w1: float, w2: float) -> dict[frozenset, float]:
+    """``coalition_values`` given w_i = W(r*e/c_i)."""
     a1 = solve_regulated_cooperative(r, c1, c2, branch).efforts.efforts[0]
     return {
         frozenset(): 0.0,
@@ -170,10 +174,10 @@ def shapley_closed(r: float, c1: float, c2: float, branch: Branch) -> ShapleyRep
         raise DegenerateRegimeError(
             f"Shapley values need r > max(c1, c2); got r={r!r}, costs=({c1!r}, {c2!r})"
         )
-    values = coalition_values(r, c1, c2, branch)
-    phi1, phi2 = shapley_brute(lambda s: values[frozenset(s)])
     w1 = lambert_w0_ratio(r, c1)
     w2 = lambert_w0_ratio(r, c2)
+    values = _coalition_values(r, c1, c2, branch, w1, w2)
+    phi1, phi2 = shapley_brute(lambda s: values[frozenset(s)])
     if branch is Branch.ISP1:
         closed1 = r / 2.0 * (1.0 - 4.0 / w1 - 2.0 / w2) + c1
         closed2 = r / 2.0 * (1.0 - 2.0 / w2) + c2

@@ -5,8 +5,12 @@ are solved by bisecting the sign of the payoff's slope. Leader problems,
 the bargaining stage over log total effort (with the split at each total
 in closed form) and the nested cooperative game's share stage are grid
 searches with one peak rule and one refine step: golden section at every
-grid peak, then, for the first two, a slope-sign bisection. When these and
-the closed forms disagree, the numbers computed here are authoritative.
+grid peak, then, for the first two, a slope-sign bisection. With
+non-negative disagreement the share stage's bargains take one search each:
+effort is bracketed below the costlier ISP's zero margin, found by
+bisecting the margin's sign, and the one grid peak there is refined; the
+multistart search is the fallback. When these and the closed forms
+disagree, the numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -182,33 +186,14 @@ def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
     return x_star, value
 
 
-def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
-                          d1: float = 0.0, d2: float = 0.0,
-                          starts: int = _NASH_STARTS) -> BargainingResult:
-    """Maximize the Nash product of the two ISPs' surpluses over efforts.
+def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
+    """Check one bargain's inputs and set up its search over log total effort.
 
-    F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
-    fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
-    (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
-    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1].
-
-    The ``starts`` grids over log T in [log(hi) - 25, log(hi)],
-    hi = beta*r/min(c1, c2), are shifted by phases (k + 0.5)/starts, so
-    together they form one uniform grid whose every ``starts``-th point
-    belongs to start k; it is evaluated once. Each start finds the local
-    maxima of its own points and climbs from each, uphill on the shared
-    grid, to a shared-grid peak. Each such peak is refined once, by golden
-    section over its two neighbouring cells (a penalty outside positive
-    surpluses leads into a narrow feasible window) and by bisecting the
-    analytic slope, and every start that reaches it takes the result. A
-    start whose own points miss the global basin still ends on a lower
-    peak, so the spread of the starts' maximizers
-    (``multistart_agreement``) keeps measuring uniqueness.
-
-    Raises
-    ------
-    InfeasibleBargainError
-        If no start finds a point with both surpluses positive.
+    Returns (z_lo, z_hi, point, merit, rising): the log-T window
+    [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2); ``point(z)``, the
+    total, the best split s and both surpluses at T = exp(z); ``merit(z)``,
+    the log Nash product there, or min(F1, F2) - 1e6 where a surplus is not
+    positive; and ``rising(z)``, whether the product still increases.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"joint share must lie in (0, 1), got {beta!r}")
@@ -252,28 +237,72 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         rate = br / (1.0 + t)
         return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
 
+    return z_lo, z_hi, point, merit, rising
+
+
+@functools.cache
+def _union_offsets(starts: int) -> tuple[float, ...]:
+    """Offsets from z_lo of the ``starts`` grids of _NASH_GRID points over
+    25 units of log T, phases (k + 0.5)/starts, interleaved into one
+    uniform grid: start k owns offsets k, k + starts, ...
+    """
+    phases = [(k + 0.5) / starts for k in range(starts)]
+    return tuple((j + p) * 25.0 / _NASH_GRID for j in range(_NASH_GRID) for p in phases)
+
+
+def _climb(v: Callable[[int], float], i: int) -> int:
+    """Uphill on a grid from index i to a point with v(i-1) < v(i) >= v(i+1);
+    indices 0 and the last hold minus infinity, and the climb stays off them.
+    """
+    while True:
+        if v(i + 1) > v(i):
+            i += 1
+        elif i > 1 and v(i - 1) >= v(i):
+            i -= 1
+        else:
+            return i
+
+
+def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
+                          d1: float = 0.0, d2: float = 0.0,
+                          starts: int = _NASH_STARTS) -> BargainingResult:
+    """Maximize the Nash product of the two ISPs' surpluses over efforts.
+
+    F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
+    fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
+    (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
+    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1].
+
+    The ``starts`` grids over log T in [log(hi) - 25, log(hi)],
+    hi = beta*r/min(c1, c2), are shifted by phases (k + 0.5)/starts, so
+    together they form one uniform grid whose every ``starts``-th point
+    belongs to start k; it is evaluated once. Each start finds the local
+    maxima of its own points and climbs from each, uphill on the shared
+    grid, to a shared-grid peak. Each such peak is refined once, by golden
+    section over its two neighbouring cells (a penalty outside positive
+    surpluses leads into a narrow feasible window) and by bisecting the
+    analytic slope, and every start that reaches it takes the result. A
+    start whose own points miss the global basin still ends on a lower
+    peak, so the spread of the starts' maximizers
+    (``multistart_agreement``) keeps measuring uniqueness.
+
+    Raises
+    ------
+    InfeasibleBargainError
+        If no start finds a point with both surpluses positive.
+    """
+    z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
+    br = beta * r
+
     # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
     idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
             for z in (max(math.log(br / c - 1.0), z_lo),)]
 
-    # start k owns union points k, k + starts, ...: the grid of phase (k + 0.5)/starts
-    phases = [(k + 0.5) / starts for k in range(starts)]
-    zs = [z_lo, *(z_lo + (j + p) * 25.0 / _NASH_GRID for j in range(_NASH_GRID) for p in phases),
-          z_hi]
+    zs = [z_lo, *(z_lo + o for o in _union_offsets(starts)), z_hi]
     v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
 
-    def climb(i):
-        # uphill on the union grid to a point with v[i-1] < v[i] >= v[i+1]
-        while True:
-            if v[i + 1] > v[i]:
-                i += 1
-            elif v[i - 1] >= v[i]:
-                i -= 1
-            else:
-                return i
-
     def peaks(k):
-        return {climb(j * starts + k + 1) for j in _grid_peaks(v[k + 1:-1:starts])}
+        return {_climb(v.__getitem__, j * starts + k + 1) for j in _grid_peaks(v[k + 1:-1:starts])}
 
     reached = [peaks(k) for k in range(starts)]
     refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
@@ -295,6 +324,51 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         converged=len(found) == starts and agreement <= _AGREEMENT_TOL,
         multistart_agreement=agreement,
     )
+
+
+def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: float) -> float:
+    """Total effort of the bargain at share beta, given d1, d2 >= 0: the
+    total of ``nash_product_maximize(..., starts=4)``, bit for bit, from
+    one search instead of four starts. The nested outer scan uses it.
+
+    The costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T is positive
+    only below an effort T0, so no bargain clears above T0; a share whose
+    margin is not positive at the window's bottom is infeasible. T0 comes
+    from bisecting the margin's sign. Below T0 the product has one peak in
+    log T, and a coarse golden section over [z_lo, min(z_hi, log T0)] lands
+    next to it; above T0 the flat -1e6 - d plateau would draw it away. A
+    climb on the 4-start search's grid then reaches the grid peak that
+    search reaches, and that peak is refined as that search refines it. A
+    refined point that is not feasible is left to the 4-start search.
+    """
+    z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
+    br, c_max = beta * r, max(c1, c2)
+
+    def profits(z):
+        t = math.exp(z)
+        return br * math.log1p(t) > c_max * t
+
+    if not profits(z_lo):
+        raise InfeasibleBargainError("the costlier ISP's margin is not positive at any effort "
+                                     "in the window")
+    offsets = _union_offsets(4)
+    step = offsets[1] - offsets[0]
+    z = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=step)
+
+    def grid(i):  # the 4-start search's grid point i, its ends z_lo and z_hi
+        return z_lo if i == 0 else z_hi if i > len(offsets) else z_lo + offsets[i - 1]
+
+    @functools.cache
+    def v(i):  # its value there, the ends scored as minus infinity
+        return merit(grid(i)) if 0 < i <= len(offsets) else -math.inf
+
+    i = _climb(v, min(max(round((z - z_lo) / step + 0.5), 1), len(offsets)))
+    # _refine reads the peak's neighbours and the window's ends
+    xs = [grid(k) for k in (0, i - 1, i, i + 1, len(offsets) + 1)]
+    t, s, f1, f2 = point(_refine(merit, xs, 2, 1e-7, rising, 1e-5)[1])
+    if f1 > 0.0 and f2 > 0.0:
+        return s * t + (1.0 - s) * t
+    return nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total
 
 
 def regulated_competitive_utilities_numeric(
@@ -339,7 +413,17 @@ def solve_asymmetric_cooperative(
     local grid maximum is refined by golden section, scoring each beta by
     (1-beta)*r*log(T+1) where T comes from the inner Nash-product
     maximization (each share is scored once); the best refined or grid
-    share wins. Infeasible bargains score minus infinity. Pass ``beta`` to skip the outer stage.
+    share wins. Infeasible bargains score minus infinity. Where the grid's
+    lowest share wins, the share is halved while the CP value still rises
+    and that peak is refined. Pass ``beta`` to skip the outer stage.
+
+    Each scanned share's bargain is the 4-start ``nash_product_maximize``.
+    With d1, d2 >= 0 its product has one peak in log T, so the scan takes
+    the same total from one search (``_scan_total``): a bracket below the
+    effort at which the costlier ISP's margin turns negative, bisected from
+    the margin's sign, then the 4-start search's refinement of the one grid
+    peak; a bargain it leaves infeasible falls back to the 4-start search.
+    A negative d_i can make the product bimodal and keeps the 4 starts.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
@@ -353,15 +437,19 @@ def solve_asymmetric_cooperative(
     if disagreement.kind == "regulated-competitive":
         d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2)
 
+    # with a negative d_i the product can have two peaks in log T
+    unimodal = d1 >= 0.0 and d2 >= 0.0
+
     @functools.cache  # golden section re-scores its bracket ends and its result
     def cp_value(b: float) -> float:
         if not 1e-6 < b < 1.0 - 1e-12:
             return -math.inf
         try:
-            inner = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4)
+            total = (_scan_total(r, c1, c2, b, d1, d2) if unimodal
+                     else nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total)
         except InfeasibleBargainError:
             return -math.inf
-        return (1.0 - b) * r * math.log(inner.efforts.total + 1.0)
+        return (1.0 - b) * r * math.log(total + 1.0)
 
     if beta is None:
         grid = [(k + 1) / (_NESTED_GRID + 1) for k in range(_NESTED_GRID)]
@@ -373,6 +461,14 @@ def solve_asymmetric_cooperative(
         found = [_refine(cp_value, grid, j, 1e-6) for j in _grid_peaks(vals)]
         # a refined share wins a tie with a grid share
         beta_star = max(found + list(zip(vals, grid)), key=lambda t: t[0])[1]
+        if beta_star == grid[0]:
+            # the best share falls like 1/W(r*e/c), below the grid at large
+            # r: halve the share while the CP value still rises, then refine
+            b = beta_star
+            while cp_value(b / 2.0) > cp_value(b):
+                b /= 2.0
+            beta_star = max(_refine(cp_value, [b / 2.0, b, 2.0 * b], 1, 1e-6), (cp_value(b), b),
+                            key=lambda t: t[0])[1]
     else:
         beta_star = beta
 

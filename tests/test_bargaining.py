@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from revshare import bargaining
 from revshare.bargaining import (
     coalition_values,
     disagreement_point,
@@ -143,6 +144,20 @@ class TestShapley:
         report = shapley_closed(10.0, 0.5, 1.0, Branch.ISP1)
         assert report.phi1 + report.phi2 == pytest.approx(
             values[frozenset({1, 2})], abs=1e-12)
+
+    @pytest.mark.parametrize("branch", [Branch.ISP1, Branch.ISP2])
+    def test_each_w_is_evaluated_once(self, monkeypatch, branch):
+        # the coalition values and the closed forms share W(r*e/c1) and W(r*e/c2)
+        calls = []
+        real = bargaining.lambert_w0_ratio
+
+        def counted(r, c):
+            calls.append((r, c))
+            return real(r, c)
+
+        monkeypatch.setattr(bargaining, "lambert_w0_ratio", counted)
+        shapley_closed(10.0, 0.5, 1.0, branch)
+        assert calls == [(10.0, 0.5), (10.0, 1.0)]
 
     def test_symmetric_costs_split_equally(self):
         report = shapley_closed(10.0, 0.8, 0.8, Branch.ISP1)

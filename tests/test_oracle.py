@@ -412,6 +412,32 @@ def test_shared_grid_never_loses_to_per_start_search(c1, c2, margin, beta, sign,
     assert new_log >= old_log - 1e-12 * max(1.0, abs(old_log))
 
 
+def _total_or_infeasible(search):
+    try:
+        return search()
+    except InfeasibleBargainError:
+        return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(math.log(1e-4), math.log(1e4)), log_ratio=st.floats(0.0, 20.0),
+       first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
+       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+def test_scan_bargain_is_the_four_start_total(log_cost, log_ratio, first_costlier, margin, beta,
+                                              u1, u2):
+    # with d1, d2 >= 0 the outer scan takes each bargain from one search,
+    # which must end on the 4-start search's total bit for bit
+    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
+    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
+    r = (c1 + c2) * margin
+    d1, d2 = u1 * r, u2 * r
+    scan = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2))
+    multistart = _total_or_infeasible(
+        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
+    assert scan == multistart
+
+
 class TestSolveAsymmetricCooperative:
     def test_equal_costs_reduce_to_symmetric_cooperative(self):
         outcome, result = solve_asymmetric_cooperative(
@@ -534,6 +560,70 @@ class TestSolveAsymmetricCooperative:
         # interior peak and ends lower or unconverged
         outcome, _ = solve_asymmetric_cooperative(r, c1, c2, DisagreementPolicy.custom(d1, d2))
         assert outcome.cp_utility >= floor
+
+
+    @pytest.mark.parametrize("r,c1,c2,policy,beta", [
+        (2740023.2170982216, 0.009187765790324537, 302749.8767387149,
+         DisagreementPolicy.regulated_competitive(), 0.4839922139201821),
+        (5410794221.837892, 8.51045013581711, 852145792.2249161,
+         DisagreementPolicy.zero(), 0.4650246612375456),
+    ])
+    def test_costlier_isps_plateau_does_not_steer_the_scan(self, r, c1, c2, policy, beta):
+        # above the costlier ISP's zero margin the product is a flat
+        # -1e6 - d plateau; one golden section over the whole effort window
+        # drifts onto it, and with no fallback the first market admits no
+        # share and the second one's share moves to 0.49945
+        outcome, _ = solve_asymmetric_cooperative(r, c1, c2, policy)
+        assert outcome.contract.joint_share == beta
+
+    @pytest.mark.parametrize("r,floor,beta_max", [
+        (1e25, 5.2863e26, 0.019),
+        (1e200, 4.5368e202, 0.0023),
+    ])
+    def test_best_share_below_the_lowest_grid_share(self, r, floor, beta_max):
+        # the grid's lowest share 1/42 scored 5.28242e26 and 4.46184e202
+        outcome, _ = solve_asymmetric_cooperative(r, 0.5, 1.0, DisagreementPolicy.zero())
+        assert outcome.cp_utility >= floor
+        assert outcome.contract.joint_share <= beta_max
+
+    @pytest.mark.parametrize("policy,fallbacks", [
+        (DisagreementPolicy.zero(), 0),
+        (DisagreementPolicy.custom(0.2, 0.3), 4),
+        (DisagreementPolicy.regulated_competitive(), 15),
+    ])
+    def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, policy,
+                                                                    fallbacks):
+        # only the final bargain and the scan's fallbacks run the multistart
+        # search, and each fallback share admits no bargain
+        calls = []
+        real = oracle.nash_product_maximize
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "nash_product_maximize", counted)
+        solve_asymmetric_cooperative(10.0, 0.5, 1.0, policy)
+        assert [kwargs for _, kwargs in calls] == [{"starts": 4}] * fallbacks + [{}]
+        for args, _ in calls[:-1]:
+            with pytest.raises(InfeasibleBargainError):
+                real(*args, starts=4)
+
+    def test_negative_disagreement_scans_with_the_multistart(self, monkeypatch):
+        calls = []
+        real = oracle.nash_product_maximize
+
+        def counted(*args, **kwargs):
+            calls.append((args[3], kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "nash_product_maximize", counted)
+        monkeypatch.setattr(oracle, "_scan_total", None)
+        solve_asymmetric_cooperative(10.0, 0.5, 1.0, DisagreementPolicy.custom(-0.5, 0.3))
+        scanned = [beta for beta, kwargs in calls[:-1] if kwargs == {"starts": 4}]
+        assert len(scanned) == len(calls) - 1 == len(set(scanned))
+        assert {(k + 1) / 42 for k in range(41)} <= set(scanned)
+        assert calls[-1][1] == {}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
