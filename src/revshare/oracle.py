@@ -7,10 +7,12 @@ in closed form) and the nested cooperative game's share stage are grid
 searches with one peak rule and one refine step: golden section at every
 grid peak, then, for the first two, a slope-sign bisection. With
 non-negative disagreement the share stage's bargains take one search each:
-effort is bracketed below the costlier ISP's zero margin, found by
-bisecting the margin's sign, and the one grid peak there is refined; the
-multistart search is the fallback. When these and the closed forms
-disagree, the numbers computed here are authoritative.
+a climb from the last feasible share's grid peak, or from a bracket below
+the costlier ISP's zero margin, found by bisecting the margin's sign, to
+the one grid peak, which is refined. A share whose peak is not feasible
+is first tested for infeasibility from the margins alone; the multistart
+search is the fallback. When these and the closed forms disagree, the
+numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -229,11 +231,17 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         f1, f2 = s * a - d1, (1.0 - s) * b - d2
         if f1 > 0.0 and f2 > 0.0:
             return math.log(f1) + math.log(f2)
-        return (f2 if f2 < f1 else f1) - _PENALTY  # min(f1, f2), NaN included
+        return (f2 if f2 < f1 or f2 != f2 else f1) - _PENALTY  # min(f1, f2), NaN included
 
     def rising(z):
-        # envelope theorem: at the best split the T-slope holds s fixed
-        t, s, f1, f2 = point(z)
+        # envelope theorem: at the best split the T-slope holds s fixed;
+        # point() inlined, as in merit: the slope polish calls this ~40 times
+        t = math.exp(z)
+        g = br * math.log1p(t)
+        a, b = g - c1 * t, g - c2 * t
+        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = min(s, 1.0) if s > 0.0 else 0.0
+        f1, f2 = s * a - d1, (1.0 - s) * b - d2
         rate = br / (1.0 + t)
         return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
 
@@ -326,20 +334,60 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     )
 
 
-def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: float) -> float:
+def _never_clears(br: float, c1: float, c2: float, d1: float, d2: float,
+                  z_lo: float, z_hi: float) -> bool:
+    """Whether no total effort in the log-T window [z_lo, z_hi] gives both
+    ISPs a positive surplus, given d1, d2 >= 0 and both margins positive at
+    z_lo. W-free, from the margins alone.
+
+    With margins A = br*log1p(T) - c1*T and B likewise both positive, the
+    equal-surplus split gives F1 = A*(1 - h)/2 and F2 = B*(1 - h)/2 with
+    h = d1/A + d2/B; elsewhere a surplus is not positive. The margins are
+    concave, so h is convex where both are positive, and its minimum is
+    found by bisecting the sign of dh/dT, a point with a margin <= 0
+    counting as not falling. True when that minimum clears 1 by far more
+    than rounding.
+    """
+    def margins(z):
+        t = math.exp(z)
+        g = br * math.log1p(t)
+        return t, g - c1 * t, g - c2 * t
+
+    def falling(z):
+        t, a, b = margins(z)
+        rate = br / (1.0 + t)
+        # -dh/dT, each term divided by its margin twice in turn: a*a can underflow
+        return (a > 0.0 and b > 0.0
+                and (d1 / a) * ((rate - c1) / a) + (d2 / b) * ((rate - c2) / b) > 0.0)
+
+    lo, hi = z_lo, z_hi
+    if falling(lo):
+        while lo < (z := 0.5 * (lo + hi)) < hi:
+            lo, hi = (z, hi) if falling(z) else (lo, z)
+    _, a, b = margins(lo)
+    return d1 / a + d2 / b >= 1.0 + 1e-9
+
+
+def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: float,
+                start: float | None = None) -> tuple[float, float]:
     """Total effort of the bargain at share beta, given d1, d2 >= 0: the
     total of ``nash_product_maximize(..., starts=4)``, bit for bit, from
     one search instead of four starts. The nested outer scan uses it.
+    Returns the total and the log-T grid peak its climb reached, which the
+    scan passes as ``start`` to the next share's climb.
 
     The costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T is positive
     only below an effort T0, so no bargain clears above T0; a share whose
-    margin is not positive at the window's bottom is infeasible. T0 comes
-    from bisecting the margin's sign. Below T0 the product has one peak in
-    log T, and a coarse golden section over [z_lo, min(z_hi, log T0)] lands
-    next to it; above T0 the flat -1e6 - d plateau would draw it away. A
-    climb on the 4-start search's grid then reaches the grid peak that
-    search reaches, and that peak is refined as that search refines it. A
-    refined point that is not feasible is left to the 4-start search.
+    margin is not positive at the window's bottom is infeasible. Below T0
+    the product has one peak in log T, and a climb on the 4-start search's
+    grid reaches the grid peak that search reaches from any start, walking
+    left across the flat -1e6 - d plateau above T0. The climb begins at
+    ``start``; without one, at a coarse golden section over
+    [z_lo, min(z_hi, log T0)], T0 bisected from the margin's sign. A grid
+    peak that is not feasible goes to ``_never_clears``, whose proof makes
+    the share infeasible. Otherwise the peak is refined as the 4-start
+    search refines it, and a refined point that is not feasible is left to
+    the 4-start search.
     """
     z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
     br, c_max = beta * r, max(c1, c2)
@@ -353,7 +401,8 @@ def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: floa
                                      "in the window")
     offsets = _union_offsets(4)
     step = offsets[1] - offsets[0]
-    z = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=step)
+    if start is None:
+        start = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=step)
 
     def grid(i):  # the 4-start search's grid point i, its ends z_lo and z_hi
         return z_lo if i == 0 else z_hi if i > len(offsets) else z_lo + offsets[i - 1]
@@ -362,13 +411,17 @@ def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: floa
     def v(i):  # its value there, the ends scored as minus infinity
         return merit(grid(i)) if 0 < i <= len(offsets) else -math.inf
 
-    i = _climb(v, min(max(round((z - z_lo) / step + 0.5), 1), len(offsets)))
+    i = _climb(v, min(max(round((start - z_lo) / step + 0.5), 1), len(offsets)))
+    # a feasible point's log product is above -1500, an infeasible one's merit at most -1e6
+    if not v(i) > -_PENALTY and _never_clears(br, c1, c2, d1, d2, z_lo, z_hi):
+        raise InfeasibleBargainError(f"no effort gives both ISPs a positive surplus over the "
+                                     f"disagreement point (d1={d1:.6g}, d2={d2:.6g})")
     # _refine reads the peak's neighbours and the window's ends
     xs = [grid(k) for k in (0, i - 1, i, i + 1, len(offsets) + 1)]
     t, s, f1, f2 = point(_refine(merit, xs, 2, 1e-7, rising, 1e-5)[1])
     if f1 > 0.0 and f2 > 0.0:
-        return s * t + (1.0 - s) * t
-    return nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total
+        return s * t + (1.0 - s) * t, grid(i)
+    return nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total, grid(i)
 
 
 def regulated_competitive_utilities_numeric(
@@ -419,11 +472,15 @@ def solve_asymmetric_cooperative(
 
     Each scanned share's bargain is the 4-start ``nash_product_maximize``.
     With d1, d2 >= 0 its product has one peak in log T, so the scan takes
-    the same total from one search (``_scan_total``): a bracket below the
-    effort at which the costlier ISP's margin turns negative, bisected from
-    the margin's sign, then the 4-start search's refinement of the one grid
-    peak; a bargain it leaves infeasible falls back to the 4-start search.
-    A negative d_i can make the product bimodal and keeps the 4 starts.
+    the same total from one search (``_scan_total``): a climb to the one
+    grid peak, starting at the grid peak of the last feasible share scored
+    (the first one starts below the effort at which the costlier ISP's
+    margin turns negative, bisected from the margin's sign), then the
+    4-start search's refinement of that peak. A peak that is not feasible
+    is first tested for infeasibility from the margins alone
+    (``_never_clears``), and a refined point that is not feasible falls
+    back to the 4-start search. A negative d_i can make the product
+    bimodal and keeps the 4 starts.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
@@ -440,13 +497,18 @@ def solve_asymmetric_cooperative(
     # with a negative d_i the product can have two peaks in log T
     unimodal = d1 >= 0.0 and d2 >= 0.0
 
+    start = None  # the log-T grid peak of the last feasible scanned share
+
     @functools.cache  # golden section re-scores its bracket ends and its result
     def cp_value(b: float) -> float:
+        nonlocal start
         if not 1e-6 < b < 1.0 - 1e-12:
             return -math.inf
         try:
-            total = (_scan_total(r, c1, c2, b, d1, d2) if unimodal
-                     else nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total)
+            if unimodal:
+                total, start = _scan_total(r, c1, c2, b, d1, d2, start)
+            else:
+                total = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total
         except InfeasibleBargainError:
             return -math.inf
         return (1.0 - b) * r * math.log(total + 1.0)

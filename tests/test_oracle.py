@@ -238,6 +238,16 @@ class TestNashProductMaximize:
         with pytest.raises(InfeasibleBargainError, match="no effort pair beats"):
             nash_product_maximize(5.87e-58, 2.77e205, 1.45e-289, 0.5)
 
+    @pytest.mark.parametrize("starts", [4, 8])
+    def test_overflowing_effort_cost_does_not_outscore_the_bargain(self, starts):
+        # the costlier ISP's c*T overflows at the window's top, where its
+        # surplus 0*(-inf) is NaN; scored by the other surplus instead, that
+        # point outranked the feasible peak and the search raised
+        # InfeasibleBargainError
+        result = nash_product_maximize(1.0660236493585454e+301, 1.6570527865295891e+286,
+                                       8.77835809579136e+295, 0.8033386732536274, starts=starts)
+        assert result.efforts.total == 180218.49341429508
+
     def test_unreachable_disagreement_raises(self):
         with pytest.raises(InfeasibleBargainError):
             nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1=50.0, d2=50.0)
@@ -419,23 +429,57 @@ def _total_or_infeasible(search):
         return None
 
 
+def _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, seed_beta):
+    # the climb starts cold, or at the grid peak of the share seed_beta
+    seed = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, seed_beta, d1, d2))
+    cold = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2)[0])
+    warm = _total_or_infeasible(
+        lambda: oracle._scan_total(r, c1, c2, beta, d1, d2, seed[1] if seed else None)[0])
+    multistart = _total_or_infeasible(
+        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
+    assert cold == warm == multistart
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(log_cost=st.floats(math.log(1e-4), math.log(1e4)), log_ratio=st.floats(0.0, 20.0),
        first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
+       seed_beta=st.floats(0.01, 0.99),
        u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
        u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
 def test_scan_bargain_is_the_four_start_total(log_cost, log_ratio, first_costlier, margin, beta,
-                                              u1, u2):
+                                              seed_beta, u1, u2):
     # with d1, d2 >= 0 the outer scan takes each bargain from one search,
-    # which must end on the 4-start search's total bit for bit
+    # which must end on the 4-start search's total bit for bit, or prove
+    # the share infeasible where that search finds no bargain
     c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
     c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
     r = (c1 + c2) * margin
-    d1, d2 = u1 * r, u2 * r
-    scan = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2))
-    multistart = _total_or_infeasible(
-        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
-    assert scan == multistart
+    _assert_scan_is_the_four_start_total(r, c1, c2, beta, u1 * r, u2 * r, seed_beta)
+
+
+@pytest.mark.parametrize("r,c1,c2,beta,d1,d2", [
+    (2.8020575498788545e-230, 3.249903578982571e-288, 9.789649022572988e-299,
+     0.06153041711464313, 4.1725083568513025e-232, 0.0),
+    (1.98198718058461e-164, 6.071217883925096e-171, 3.28749693211577e-166,
+     0.8726985834687555, 3.569119719930093e-166, 6.813380604341491e-166),
+    (1.4167816132454562e-171, 1.8956555414918865e-216, 5.842503782890439e-227,
+     0.5950058149513625, 2.4674318616785395e-173, 5.2236990146717815e-173),
+    (3.9672885158093645e-261, 6.953554797200008e-282, 7.722479397166547e-281,
+     0.41035220299477654, 7.774144807506924e-263, 0.0),
+    (2.719905601030678e-265, 4.710793551104086e-270, 3.1957525188494287e-268,
+     0.5337018119398984, 0.0, 5.490959055200868e-267),
+    (14.239868425287968, 0.03447124558091777, 2.3858105522518205,
+     0.4958915783827468, 1.6345059827482322, 2.369418873170771),
+    (22.03321563584354, 0.4542092738400962, 1.078789712675424,
+     0.6570372474520945, 36.09185122520979, 0.0),
+])
+def test_scan_bargain_is_the_four_start_total_on_edge_markets(r, c1, c2, beta, d1, d2):
+    # The first five have margins whose square underflows: the
+    # infeasibility test's slope, written as d*(rate - c)/(A*A), divided by
+    # zero on each. On the last two, min(d1/A + d2/B) is 1 - 7e-12 and
+    # 1 - 9e-12: the climb's grid peak is not feasible, the test must not
+    # reject the share, and the refined point is the 4-start bargain.
+    _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, 0.5)
 
 
 class TestSolveAsymmetricCooperative:
@@ -586,26 +630,41 @@ class TestSolveAsymmetricCooperative:
         assert outcome.cp_utility >= floor
         assert outcome.contract.joint_share <= beta_max
 
-    @pytest.mark.parametrize("policy,fallbacks", [
+    @pytest.mark.parametrize("policy,proved", [
         (DisagreementPolicy.zero(), 0),
         (DisagreementPolicy.custom(0.2, 0.3), 4),
         (DisagreementPolicy.regulated_competitive(), 15),
     ])
     def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, policy,
-                                                                    fallbacks):
-        # only the final bargain and the scan's fallbacks run the multistart
-        # search, and each fallback share admits no bargain
-        calls = []
-        real = oracle.nash_product_maximize
+                                                                    proved):
+        # only the final bargain runs the multistart search; the shares
+        # that admit no bargain are proved so, and the 4-start search
+        # agrees on each
+        calls, scans, rejected = [], [], []
+        real, real_scan, real_proof = (oracle.nash_product_maximize, oracle._scan_total,
+                                       oracle._never_clears)
 
         def counted(*args, **kwargs):
-            calls.append((args, kwargs))
+            calls.append(kwargs)
             return real(*args, **kwargs)
 
+        def scan(*args):
+            scans.append(args[:6])
+            return real_scan(*args)
+
+        def proof(*args):
+            never = real_proof(*args)
+            if never:
+                rejected.append(scans[-1])
+            return never
+
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
+        monkeypatch.setattr(oracle, "_scan_total", scan)
+        monkeypatch.setattr(oracle, "_never_clears", proof)
         solve_asymmetric_cooperative(10.0, 0.5, 1.0, policy)
-        assert [kwargs for _, kwargs in calls] == [{"starts": 4}] * fallbacks + [{}]
-        for args, _ in calls[:-1]:
+        assert calls == [{}]
+        assert len(rejected) == proved
+        for args in rejected:
             with pytest.raises(InfeasibleBargainError):
                 real(*args, starts=4)
 
