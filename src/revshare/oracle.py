@@ -7,11 +7,9 @@ in closed form) and the nested cooperative game's share stage are grid
 searches with one peak rule and one refine step: golden section at every
 grid peak, then, for the first two, a slope-sign bisection. With
 non-negative disagreement the share stage's bargains take one search each:
-a climb from the last feasible share's grid peak, or from a bracket below
-the costlier ISP's zero margin, found by bisecting the margin's sign, to
-the one grid peak, which is refined. A share whose peak is not feasible
-is first tested for infeasibility from the margins alone; the multistart
-search is the fallback. When these and the closed forms disagree, the
+a climb from the last feasible share's grid peak, where still feasible,
+or from a bracket below the costlier ISP's zero margin, to the one grid
+peak, which is refined. When these and the closed forms disagree, the
 numbers computed here are authoritative.
 """
 from __future__ import annotations
@@ -216,8 +214,10 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         t = math.exp(z)
         g = br * math.log1p(t)
         a, b = g - c1 * t, g - c2 * t
-        # with margins of opposite sign the product rises towards the positive one
-        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        # the split by the margins' signs (their product can underflow); with
+        # opposite signs the product rises towards the positive one
+        s = (0.5 * (1.0 - d2 / b + d1 / a) if a > 0.0 and b > 0.0 or a < 0.0 and b < 0.0
+             else float(a > b))
         s = min(s, 1.0) if s > 0.0 else 0.0
         return t, s, s * a - d1, (1.0 - s) * b - d2
 
@@ -226,7 +226,8 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         t = math.exp(z)
         g = br * math.log1p(t)
         a, b = g - c1 * t, g - c2 * t
-        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = (0.5 * (1.0 - d2 / b + d1 / a) if a > 0.0 and b > 0.0 or a < 0.0 and b < 0.0
+             else float(a > b))
         s = min(s, 1.0) if s > 0.0 else 0.0
         f1, f2 = s * a - d1, (1.0 - s) * b - d2
         if f1 > 0.0 and f2 > 0.0:
@@ -239,7 +240,8 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         t = math.exp(z)
         g = br * math.log1p(t)
         a, b = g - c1 * t, g - c2 * t
-        s = 0.5 * (1.0 - d2 / b + d1 / a) if a * b > 0.0 else float(a > b)
+        s = (0.5 * (1.0 - d2 / b + d1 / a) if a > 0.0 and b > 0.0 or a < 0.0 and b < 0.0
+             else float(a > b))
         s = min(s, 1.0) if s > 0.0 else 0.0
         f1, f2 = s * a - d1, (1.0 - s) * b - d2
         rate = br / (1.0 + t)
@@ -334,60 +336,24 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     )
 
 
-def _never_clears(br: float, c1: float, c2: float, d1: float, d2: float,
-                  z_lo: float, z_hi: float) -> bool:
-    """Whether no total effort in the log-T window [z_lo, z_hi] gives both
-    ISPs a positive surplus, given d1, d2 >= 0 and both margins positive at
-    z_lo. W-free, from the margins alone.
-
-    With margins A = br*log1p(T) - c1*T and B likewise both positive, the
-    equal-surplus split gives F1 = A*(1 - h)/2 and F2 = B*(1 - h)/2 with
-    h = d1/A + d2/B; elsewhere a surplus is not positive. The margins are
-    concave, so h is convex where both are positive, and its minimum is
-    found by bisecting the sign of dh/dT, a point with a margin <= 0
-    counting as not falling. True when that minimum clears 1 by far more
-    than rounding.
-    """
-    def margins(z):
-        t = math.exp(z)
-        g = br * math.log1p(t)
-        return t, g - c1 * t, g - c2 * t
-
-    def falling(z):
-        t, a, b = margins(z)
-        rate = br / (1.0 + t)
-        # -dh/dT, each term divided by its margin twice in turn: a*a can underflow
-        return (a > 0.0 and b > 0.0
-                and (d1 / a) * ((rate - c1) / a) + (d2 / b) * ((rate - c2) / b) > 0.0)
-
-    lo, hi = z_lo, z_hi
-    if falling(lo):
-        while lo < (z := 0.5 * (lo + hi)) < hi:
-            lo, hi = (z, hi) if falling(z) else (lo, z)
-    _, a, b = margins(lo)
-    return d1 / a + d2 / b >= 1.0 + 1e-9
-
-
 def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: float,
                 start: float | None = None) -> tuple[float, float]:
     """Total effort of the bargain at share beta, given d1, d2 >= 0: the
     total of ``nash_product_maximize(..., starts=4)``, bit for bit, from
-    one search instead of four starts. The nested outer scan uses it.
-    Returns the total and the log-T grid peak its climb reached, which the
-    scan passes as ``start`` to the next share's climb.
+    one search instead of four starts, or InfeasibleBargainError where that
+    search raises it. The nested outer scan uses it. Returns the total and
+    the log-T grid peak its climb reached, which the scan passes as
+    ``start`` to the next share's climb.
 
     The costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T is positive
     only below an effort T0, so no bargain clears above T0; a share whose
     margin is not positive at the window's bottom is infeasible. Below T0
     the product has one peak in log T, and a climb on the 4-start search's
-    grid reaches the grid peak that search reaches from any start, walking
-    left across the flat -1e6 - d plateau above T0. The climb begins at
-    ``start``; without one, at a coarse golden section over
-    [z_lo, min(z_hi, log T0)], T0 bisected from the margin's sign. A grid
-    peak that is not feasible goes to ``_never_clears``, whose proof makes
-    the share infeasible. Otherwise the peak is refined as the 4-start
-    search refines it, and a refined point that is not feasible is left to
-    the 4-start search.
+    grid reaches the grid peak that search reaches. The climb begins at
+    ``start`` if that grid point is feasible, else at a coarse golden
+    section over [z_lo, min(z_hi, log T0)], T0 bisected from the margin's
+    sign. The peak is refined as the 4-start search refines it; a refined
+    point that is not feasible makes the share infeasible.
     """
     z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
     br, c_max = beta * r, max(c1, c2)
@@ -401,8 +367,6 @@ def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: floa
                                      "in the window")
     offsets = _union_offsets(4)
     step = offsets[1] - offsets[0]
-    if start is None:
-        start = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=step)
 
     def grid(i):  # the 4-start search's grid point i, its ends z_lo and z_hi
         return z_lo if i == 0 else z_hi if i > len(offsets) else z_lo + offsets[i - 1]
@@ -411,17 +375,21 @@ def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: floa
     def v(i):  # its value there, the ends scored as minus infinity
         return merit(grid(i)) if 0 < i <= len(offsets) else -math.inf
 
-    i = _climb(v, min(max(round((start - z_lo) / step + 0.5), 1), len(offsets)))
+    def index(z):  # the grid point nearest z, off the ends
+        return min(max(round((z - z_lo) / step + 0.5), 1), len(offsets))
+
     # a feasible point's log product is above -1500, an infeasible one's merit at most -1e6
-    if not v(i) > -_PENALTY and _never_clears(br, c1, c2, d1, d2, z_lo, z_hi):
-        raise InfeasibleBargainError(f"no effort gives both ISPs a positive surplus over the "
-                                     f"disagreement point (d1={d1:.6g}, d2={d2:.6g})")
+    if start is None or not v(i := index(start)) > -_PENALTY:
+        i = index(golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi),
+                                     tol=step))
+    i = _climb(v, i)
     # _refine reads the peak's neighbours and the window's ends
     xs = [grid(k) for k in (0, i - 1, i, i + 1, len(offsets) + 1)]
     t, s, f1, f2 = point(_refine(merit, xs, 2, 1e-7, rising, 1e-5)[1])
-    if f1 > 0.0 and f2 > 0.0:
-        return s * t + (1.0 - s) * t, grid(i)
-    return nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total, grid(i)
+    if not (f1 > 0.0 and f2 > 0.0):
+        raise InfeasibleBargainError(f"no effort gives both ISPs a positive surplus over the "
+                                     f"disagreement point (d1={d1:.6g}, d2={d2:.6g})")
+    return s * t + (1.0 - s) * t, grid(i)
 
 
 def regulated_competitive_utilities_numeric(
@@ -472,15 +440,12 @@ def solve_asymmetric_cooperative(
 
     Each scanned share's bargain is the 4-start ``nash_product_maximize``.
     With d1, d2 >= 0 its product has one peak in log T, so the scan takes
-    the same total from one search (``_scan_total``): a climb to the one
-    grid peak, starting at the grid peak of the last feasible share scored
-    (the first one starts below the effort at which the costlier ISP's
-    margin turns negative, bisected from the margin's sign), then the
-    4-start search's refinement of that peak. A peak that is not feasible
-    is first tested for infeasibility from the margins alone
-    (``_never_clears``), and a refined point that is not feasible falls
-    back to the 4-start search. A negative d_i can make the product
-    bimodal and keeps the 4 starts.
+    the same total, or the same InfeasibleBargainError, from one search
+    (``_scan_total``): a climb to the one grid peak, starting at the grid
+    peak of the last feasible share scored where that point is still
+    feasible (else below the effort at which the costlier ISP's margin
+    turns negative), then the 4-start search's refinement of that peak. A
+    negative d_i can make the product bimodal and keeps the 4 starts.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's

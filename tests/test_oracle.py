@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -438,6 +439,7 @@ def _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, seed_beta):
     multistart = _total_or_infeasible(
         lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
     assert cold == warm == multistart
+    return multistart
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -457,6 +459,31 @@ def test_scan_bargain_is_the_four_start_total(log_cost, log_ratio, first_costlie
     _assert_scan_is_the_four_start_total(r, c1, c2, beta, u1 * r, u2 * r, seed_beta)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(-25.0, 25.0), log_ratio=st.floats(0.0, 25.0),
+       first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
+       where=st.floats(0.0, 1.0), first_owes_more=st.booleans(),
+       u_hi=st.floats(0.0, 0.05), u_lo=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_scan_bargain_from_any_start_is_the_four_start_total(
+        log_cost, log_ratio, first_costlier, margin, beta, where, first_owes_more, u_hi, u_lo):
+    # a warm start anywhere in the log-T window, feasible or stranded on
+    # the flat plateau above the costlier ISP's zero margin, ends on the
+    # 4-start total or raises where the 4-start search raises, and never
+    # runs that search itself
+    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
+    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
+    r = (c1 + c2) * margin
+    big, small = u_hi * r, u_lo * u_hi * r
+    d1, d2 = (big, small) if first_owes_more else (small, big)
+    z_lo, z_hi, *_ = oracle._bargain(r, c1, c2, beta, d1, d2)
+    start = z_lo + where * (z_hi - z_lo)
+    multistart = _total_or_infeasible(
+        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
+    with mock.patch.object(oracle, "nash_product_maximize", side_effect=AssertionError):
+        scan = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2, start)[0])
+    assert scan == multistart
+
+
 @pytest.mark.parametrize("r,c1,c2,beta,d1,d2", [
     (2.8020575498788545e-230, 3.249903578982571e-288, 9.789649022572988e-299,
      0.06153041711464313, 4.1725083568513025e-232, 0.0),
@@ -474,12 +501,13 @@ def test_scan_bargain_is_the_four_start_total(log_cost, log_ratio, first_costlie
      0.6570372474520945, 36.09185122520979, 0.0),
 ])
 def test_scan_bargain_is_the_four_start_total_on_edge_markets(r, c1, c2, beta, d1, d2):
-    # The first five have margins whose square underflows: the
-    # infeasibility test's slope, written as d*(rate - c)/(A*A), divided by
-    # zero on each. On the last two, min(d1/A + d2/B) is 1 - 7e-12 and
-    # 1 - 9e-12: the climb's grid peak is not feasible, the test must not
-    # reject the share, and the refined point is the 4-start bargain.
-    _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, 0.5)
+    # The first five have margins A, B whose product A*B underflows: a
+    # split chosen by the product's sign gave one ISP everything, and
+    # neither search found a bargain. The first one's total is
+    # 1.0510696684861227e+57. On the last two, min(d1/A + d2/B) is
+    # 1 - 7e-12 and 1 - 9e-12: the climb's grid peak is not feasible, and
+    # the refined point is the 4-start bargain.
+    assert _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, 0.5) is not None
 
 
 class TestSolveAsymmetricCooperative:
@@ -630,41 +658,40 @@ class TestSolveAsymmetricCooperative:
         assert outcome.cp_utility >= floor
         assert outcome.contract.joint_share <= beta_max
 
-    @pytest.mark.parametrize("policy,proved", [
-        (DisagreementPolicy.zero(), 0),
-        (DisagreementPolicy.custom(0.2, 0.3), 4),
-        (DisagreementPolicy.regulated_competitive(), 15),
+    @pytest.mark.parametrize("market,policy,raised", [
+        ((10.0, 0.5, 1.0), DisagreementPolicy.zero(), 4),
+        ((10.0, 0.5, 1.0), DisagreementPolicy.custom(0.2, 0.3), 8),
+        ((10.0, 0.5, 1.0), DisagreementPolicy.regulated_competitive(), 19),
+        # a warm start no longer feasible at the next share climbed to the
+        # edge of the costlier ISP's flat plateau, and 26 scans reran the
+        # 4-start search
+        ((2.4785394825016343, 1.3126969868884948, 0.05447067055393765),
+         DisagreementPolicy.custom(0.09323202368249456, 0.10293511083625789), 31),
     ])
-    def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, policy,
-                                                                    proved):
-        # only the final bargain runs the multistart search; the shares
-        # that admit no bargain are proved so, and the 4-start search
-        # agrees on each
-        calls, scans, rejected = [], [], []
-        real, real_scan, real_proof = (oracle.nash_product_maximize, oracle._scan_total,
-                                       oracle._never_clears)
+    def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, market,
+                                                                    policy, raised):
+        # only the final bargain runs the multistart search; the 4-start
+        # search agrees that each share the scan finds infeasible is so
+        calls, infeasible = [], []
+        real, real_scan = oracle.nash_product_maximize, oracle._scan_total
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
             return real(*args, **kwargs)
 
         def scan(*args):
-            scans.append(args[:6])
-            return real_scan(*args)
-
-        def proof(*args):
-            never = real_proof(*args)
-            if never:
-                rejected.append(scans[-1])
-            return never
+            try:
+                return real_scan(*args)
+            except InfeasibleBargainError:
+                infeasible.append(args[:6])
+                raise
 
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
         monkeypatch.setattr(oracle, "_scan_total", scan)
-        monkeypatch.setattr(oracle, "_never_clears", proof)
-        solve_asymmetric_cooperative(10.0, 0.5, 1.0, policy)
+        solve_asymmetric_cooperative(*market, policy)
         assert calls == [{}]
-        assert len(rejected) == proved
-        for args in rejected:
+        assert len(infeasible) == raised
+        for args in infeasible:
             with pytest.raises(InfeasibleBargainError):
                 real(*args, starts=4)
 
