@@ -1,16 +1,18 @@
 """Brute-force numerical solvers, independent of the closed forms.
 
 Nothing here evaluates Lambert W or any W-based formula. Follower problems
-are solved by bisecting the sign of the payoff's slope. Leader problems,
-the bargaining stage over log total effort (with the split at each total
-in closed form) and the nested cooperative game's share stage are grid
-searches with one peak rule and one refine step: golden section at every
-grid peak, then, for the first two, a slope-sign bisection. With
-non-negative disagreement the share stage's bargains take one search each:
-a climb from the last feasible share's grid peak, where still feasible,
-or from a bracket below the costlier ISP's zero margin, to the one grid
-peak, which is refined. When these and the closed forms disagree, the
-numbers computed here are authoritative.
+are solved by the sign of the payoff's slope, walked in float steps from
+the stationary point or bisected. Leader problems, the bargaining stage
+over log total effort (with the split at each total in closed form) and
+the nested cooperative game's share stage are grid searches with one peak
+rule and one refine step: golden section at every grid peak, then, for the
+first two, a slope-sign bisection. With non-negative disagreement the
+share stage searches its grid for the one peak by the sign of the grid's
+slope instead of scoring every share, and each share's bargain takes one
+search: a climb from the last feasible share's grid peak, where still
+feasible, or from a bracket below the costlier ISP's zero margin, to the
+one grid peak, which is refined. When these and the closed forms
+disagree, the numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Float steps a best response walks from its stationary point before it
+# bisects instead.
+_WALK_STEPS = 8
 # Leader grid on [0, 1] and its golden-section stop; bargaining starts per
 # Nash solve.
 _LEADER_GRID = 65
@@ -105,8 +110,15 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
 
     Maximizes beta_i*r*log(others + a + 1) - c_i*a over a >= 0. The payoff
     is concave and falls beyond a = beta_i*r/c_i, where marginal revenue is
-    below c_i, so bisecting the sign of its slope on [0, beta_i*r/c_i]
-    places the top at adjacent floats.
+    below c_i, so the sign of its slope places the top at adjacent floats.
+    The slope's sign flips once, at the stationary point
+    a* = beta_i*r/c_i - others - 1, and ``rising`` is monotone in floating
+    point too (each operation in it is), so the adjacent pair where it
+    flips is unique: a walk of ``math.nextafter`` steps from a* reaches it
+    and returns the midpoint a bisection of [0, beta_i*r/c_i] returns.
+    Where a* cancels (others close to beta_i*r/c_i - 1) the walk can need
+    millions of steps, so past _WALK_STEPS it bisects, as it does where the
+    bisection's midpoints could overflow.
     """
     if c_i <= 0.0:
         raise ValueError(f"cost must be positive, got {c_i!r}")
@@ -121,6 +133,16 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     if not rising(0.0):
         return 0.0
     hi = beta_i * r / c_i
+    if hi + hi < math.inf:
+        a = max(hi - others_total - 1.0, 0.0)
+        up = rising(a)
+        for _ in range(_WALK_STEPS):
+            b = math.nextafter(a, math.inf if up else 0.0)
+            if b > hi:
+                break
+            if rising(b) != up:
+                return 0.5 * (a + b)
+            a = b
     return _slope_polish(rising, hi, 0.0, hi)
 
 
@@ -146,6 +168,26 @@ def _grid_peaks(vals: list[float]) -> list[int]:
     v = [-math.inf, *vals, -math.inf]
     return [j for j in range(len(vals))
             if v[j] <= v[j + 1] >= v[j + 2] and (v[j] < v[j + 1] or v[j + 2] < v[j + 1])]
+
+
+def _one_peak(v: Callable[[int], float], n: int) -> int | None:
+    """The peak of grid values v(0), ..., v(n - 1) that rise to one peak and
+    then fall, by bisecting the sign of their discrete slope: about log2(n)
+    pairs of values instead of n values. Minus infinity counts as rising.
+    Returns None where two neighbours tie (or one is NaN), or where the
+    search ends on minus infinity; the caller then scans every value.
+    """
+    lo, hi = 0, n - 1
+    while lo < hi:
+        m = (lo + hi) // 2
+        a, b = v(m), v(m + 1)
+        if a < b or a == -math.inf:
+            lo = m + 1
+        elif a > b:
+            hi = m
+        else:
+            return None
+    return lo if v(lo) > -math.inf else None
 
 
 def _refine(f: Callable[[float], float], xs: list[float], j: int, tol: float,
@@ -438,6 +480,15 @@ def solve_asymmetric_cooperative(
     lowest share wins, the share is halved while the CP value still rises
     and that peak is refined. Pass ``beta`` to skip the outer stage.
 
+    With d1, d2 >= 0 the grid's values rise to one peak and then fall
+    (infeasible shares lie below the feasible ones: a larger share raises
+    both margins), so ``_one_peak`` finds that peak by bisecting the sign
+    of the grid's slope, about 9 shares of the 41, and only it is refined;
+    a tie between neighbours, or a search that ends on an infeasible
+    share, scores the whole grid instead. So does a negative d_i, which
+    can give the grid two peaks, and a top share whose beta*r/min(c)
+    overflows, so that the scan raises as it always has.
+
     Each scanned share's bargain is the 4-start ``nash_product_maximize``.
     With d1, d2 >= 0 its product has one peak in log T, so the scan takes
     the same total, or the same InfeasibleBargainError, from one search
@@ -480,14 +531,22 @@ def solve_asymmetric_cooperative(
 
     if beta is None:
         grid = [(k + 1) / (_NESTED_GRID + 1) for k in range(_NESTED_GRID)]
-        vals = [cp_value(b) for b in grid]
-        if max(vals) == -math.inf:
-            raise InfeasibleBargainError(
-                "no share in (0, 1) admits a feasible bargain for this disagreement point"
-            )
-        found = [_refine(cp_value, grid, j, 1e-6) for j in _grid_peaks(vals)]
+        # a share whose beta*r/min(c) overflows raises: the full scan meets
+        # the first such share, as it always has
+        j = (_one_peak(lambda k: cp_value(grid[k]), len(grid))
+             if unimodal and grid[-1] * r / min(c1, c2) < math.inf else None)
+        if j is None:
+            vals = [cp_value(b) for b in grid]
+            if max(vals) == -math.inf:
+                raise InfeasibleBargainError(
+                    "no share in (0, 1) admits a feasible bargain for this disagreement point"
+                )
+            peaks, scored = _grid_peaks(vals), list(zip(vals, grid))
+        else:
+            peaks, scored = [j], [(cp_value(grid[j]), grid[j])]
+        found = [_refine(cp_value, grid, j, 1e-6) for j in peaks]
         # a refined share wins a tie with a grid share
-        beta_star = max(found + list(zip(vals, grid)), key=lambda t: t[0])[1]
+        beta_star = max(found + scored, key=lambda t: t[0])[1]
         if beta_star == grid[0]:
             # the best share falls like 1/W(r*e/c), below the grid at large
             # r: halve the share while the CP value still rises, then refine

@@ -65,6 +65,52 @@ class TestBestResponseEffort:
             got = best_response_effort(beta, r, c, others)
             assert got == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize("beta,r,c,others", [
+        # a* = 5 - others - 1 cancels to about 1e-12 with an error near
+        # ulp(5), some 1e12 float steps at that size: past the step cap
+        (0.5, 10.0, 1.0, 4.0 - 1e-12),
+        # above half the largest float the bisection's lo + hi overflows
+        # and it returns inf, where a walk would end near 0.8e308
+        (1.0, 1.5e308, 1.0, 0.7e308),
+    ])
+    def test_bisects_where_the_walk_stops(self, beta, r, c, others):
+        assert best_response_effort(beta, r, c, others) == _bisected_response(beta, r, c, others)
+
+
+def _bisected_response(beta_i, r, c_i, others_total):
+    """Reference best response: the slope's sign bisected on
+    [0, beta_i*r/c_i] down to adjacent floats."""
+    def rising(a):
+        return beta_i * r / (others_total + a + 1.0) > c_i
+
+    if not rising(0.0):
+        return 0.0
+    lo, hi = 0.0, beta_i * r / c_i
+    z = hi
+    if rising(lo) and not rising(hi):
+        while lo < (z := 0.5 * (lo + hi)) < hi:
+            lo, hi = (z, hi) if rising(z) else (lo, z)
+    return z
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       log_r=st.floats(-20.0, 60.0), log_c=st.floats(-20.0, 20.0),
+       others=st.one_of(st.just(0.0), st.floats(0.0, math.exp(60.0)),
+                        st.tuples(st.floats(-1.0, 1.0), st.integers(-60, -1))))
+def test_best_response_is_the_bisections_to_the_bit(beta, log_r, log_c, others):
+    # The walk from the stationary point returns the bisection's midpoint
+    # only because ``rising`` is monotone in floating point, so the pair of
+    # adjacent floats where it flips is unique. The tuples draw others
+    # within a relative 2**-1..2**-60 of beta*r/c - 1, where a* cancels and
+    # walks run past their step cap
+    r, c = math.exp(log_r), math.exp(log_c)
+    if isinstance(others, tuple):
+        u, k = others
+        others = max(beta * r / c - 1.0, 0.0) * (1.0 + u * 2.0 ** k)
+    assert repr(best_response_effort(beta, r, c, others)) == repr(
+        _bisected_response(beta, r, c, others))
+
 
 class TestGridPeaks:
     def test_flat_run_counts_at_both_edges(self):
@@ -100,6 +146,46 @@ def test_grid_peaks_extend_left_edge_peaks_by_right_edges_of_flat_runs(vals):
     assert left_edge <= set(peaks)
     for j in set(peaks) - left_edge:
         assert v[j] == v[j + 1] > v[j + 2]
+
+
+class TestOnePeak:
+    def test_finds_the_peak_of_every_rise_and_fall(self):
+        for n in range(1, 42):
+            for j in range(n):
+                vals = [float(min(k - j, j - k)) for k in range(n)]
+                assert oracle._one_peak(vals.__getitem__, n) == j
+
+    def test_ties_nan_and_no_finite_value_leave_it_to_the_full_scan(self):
+        inf, nan = math.inf, math.nan
+        for vals in ([0.0, 1.0, 1.0, 0.0], [inf] * 5, [0.0, 1.0, nan, 0.0, -1.0], [-inf] * 5):
+            assert oracle._one_peak(vals.__getitem__, len(vals)) is None
+
+    def test_reads_about_two_values_per_halving(self):
+        read = set()
+
+        def v(k):
+            read.add(k)
+            return -abs(k - 30.0)
+
+        assert oracle._one_peak(v, 41) == 30
+        assert len(read) <= 2 * math.ceil(math.log2(41)) + 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vals=st.lists(st.sampled_from([-math.inf, 0.0, 1.0, 2.0]), min_size=1, max_size=12))
+def test_one_peak_is_a_strict_grid_peak_or_none(vals):
+    # on any grid, unimodal or not, a found index is a peak by the full
+    # scan's rule, higher than both neighbours; on a grid with one peak, no
+    # tie and minus infinity only as a prefix, it is that peak
+    j = oracle._one_peak(vals.__getitem__, len(vals))
+    v = [-math.inf, *vals, -math.inf]
+    peaks = oracle._grid_peaks(vals)
+    if j is not None:
+        assert j in peaks and v[j] < v[j + 1] > v[j + 2]
+    finite = [x for x in vals if x > -math.inf]
+    if (len(peaks) == 1 and vals[len(vals) - len(finite):] == finite
+            and all(a != b for a, b in zip(finite, finite[1:]))):
+        assert j == peaks[0]
 
 
 class TestLeaderOptimum:
@@ -659,14 +745,16 @@ class TestSolveAsymmetricCooperative:
         assert outcome.contract.joint_share <= beta_max
 
     @pytest.mark.parametrize("market,policy,raised", [
-        ((10.0, 0.5, 1.0), DisagreementPolicy.zero(), 4),
-        ((10.0, 0.5, 1.0), DisagreementPolicy.custom(0.2, 0.3), 8),
-        ((10.0, 0.5, 1.0), DisagreementPolicy.regulated_competitive(), 19),
+        # the search for the grid's one peak skips the infeasible low shares
+        # a full scan of the grid reads
+        ((10.0, 0.5, 1.0), DisagreementPolicy.zero(), 0),
+        ((10.0, 0.5, 1.0), DisagreementPolicy.custom(0.2, 0.3), 0),
+        ((10.0, 0.5, 1.0), DisagreementPolicy.regulated_competitive(), 6),
         # a warm start no longer feasible at the next share climbed to the
         # edge of the costlier ISP's flat plateau, and 26 scans reran the
         # 4-start search
         ((2.4785394825016343, 1.3126969868884948, 0.05447067055393765),
-         DisagreementPolicy.custom(0.09323202368249456, 0.10293511083625789), 31),
+         DisagreementPolicy.custom(0.09323202368249456, 0.10293511083625789), 3),
     ])
     def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, market,
                                                                     policy, raised):
@@ -710,6 +798,73 @@ class TestSolveAsymmetricCooperative:
         assert len(scanned) == len(calls) - 1 == len(set(scanned))
         assert {(k + 1) / 42 for k in range(41)} <= set(scanned)
         assert calls[-1][1] == {}
+
+    @pytest.mark.parametrize("d1,d2", [(0.0, -0.2), (-0.5, -0.2)])
+    def test_negative_disagreement_scores_every_grid_share(self, monkeypatch, d1, d2):
+        # a negative d_i can give the grid two peaks: no peak search runs
+        scored = []
+        real = oracle.nash_product_maximize
+
+        def counted(*args, **kwargs):
+            scored.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "nash_product_maximize", counted)
+        monkeypatch.setattr(oracle, "_one_peak", None)
+        solve_asymmetric_cooperative(10.0, 0.5, 1.0, DisagreementPolicy.custom(d1, d2))
+        assert {(k + 1) / 42 for k in range(41)} <= set(scored)
+
+    def test_tied_grid_values_take_the_full_scan(self, monkeypatch):
+        # every grid share's CP value overflows to inf, so the search meets
+        # a tie at its first pair; the full scan reads all 41 shares and
+        # reports the overflow
+        found, scored = [], []
+        real_peak, real_scan = oracle._one_peak, oracle._scan_total
+
+        def peak(*args):
+            found.append(real_peak(*args))
+            return found[-1]
+
+        def scan(*args):
+            scored.append(args[3])
+            return real_scan(*args)
+
+        monkeypatch.setattr(oracle, "_one_peak", peak)
+        monkeypatch.setattr(oracle, "_scan_total", scan)
+        with pytest.raises(NonFiniteOutcomeError, match="cp_utility: inf"):
+            solve_asymmetric_cooperative(1e307, 1.0, 2.0, DisagreementPolicy.zero())
+        assert found == [None]
+        assert {(k + 1) / 42 for k in range(41)} <= set(scored)
+
+
+def _solve_or_error(*args):
+    try:
+        return repr(solve_asymmetric_cooperative(*args))
+    except (InfeasibleBargainError, NonFiniteOutcomeError, BargainNotConvergedError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(math.log(1e-3), math.log(1e3)), log_ratio=st.floats(0.0, 20.0),
+       first_costlier=st.booleans(), log_margin=st.floats(math.log(1.05), math.log(1e40)),
+       policy=st.sampled_from(["zero", "regulated-competitive", "custom"]),
+       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+def test_peak_search_is_the_full_scan(log_cost, log_ratio, first_costlier, log_margin, policy,
+                                      u1, u2):
+    # With d1, d2 >= 0 the outer grid has one peak, so the search for it
+    # must end where the full scan of all 41 shares ends: the same share,
+    # outcome and bargain to the last bit, or the same error. Margins up
+    # to 1e40 put the best share below the grid's lowest, 1/42
+    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
+    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
+    r = (c1 + c2) * math.exp(log_margin)
+    disagreement = {"zero": DisagreementPolicy.zero(),
+                    "regulated-competitive": DisagreementPolicy.regulated_competitive(),
+                    "custom": DisagreementPolicy.custom(u1 * r, u2 * r)}[policy]
+    searched = _solve_or_error(r, c1, c2, disagreement)
+    with mock.patch.object(oracle, "_one_peak", return_value=None):
+        assert _solve_or_error(r, c1, c2, disagreement) == searched
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
