@@ -282,7 +282,9 @@ class BargainingResult:
     ``share_split`` is the implied (beta1, beta2) division of the joint
     share; ``surpluses`` are the factors F_i = U_i - d_i of the Nash
     product at the solution; ``multistart_agreement`` is the largest
-    effort gap between a start's maximizer and the chosen one.
+    effort gap between a start's maximizer and the chosen one, 0 by
+    construction where d1, d2 >= 0 (one search finds the product's one
+    peak, and ``converged`` is True whenever a bargain is found).
     """
 
     efforts: EffortProfile

@@ -2,17 +2,16 @@
 
 Nothing here evaluates Lambert W or any W-based formula. Follower problems
 are solved by the sign of the payoff's slope, walked in float steps from
-the stationary point or bisected. Leader problems, the bargaining stage
-over log total effort (with the split at each total in closed form) and
-the nested cooperative game's share stage are grid searches with one peak
-rule and one refine step: golden section at every grid peak, then, for the
-first two, a slope-sign bisection. With non-negative disagreement the
-share stage searches its grid for the one peak by the sign of the grid's
-slope instead of scoring every share, and each share's bargain takes one
-search: a climb from the last feasible share's grid peak, where still
-feasible, or from a bracket below the costlier ISP's zero margin, to the
-one grid peak, which is refined. When these and the closed forms
-disagree, the numbers computed here are authoritative.
+the stationary point or bisected. Leader problems, the multistart
+bargaining stage over log total effort (with the split at each total in
+closed form) and the nested cooperative game's share stage are grid
+searches with one peak rule and one refine step: golden section at every
+grid peak, then, for the first two, a slope-sign bisection. With
+non-negative disagreement a bargain's product has one peak, which one
+golden section and bisection find, and the share stage bisects the sign
+of its grid's slope for its one peak instead of scoring every share. When
+these and the closed forms disagree, the numbers computed here are
+authoritative.
 """
 from __future__ import annotations
 
@@ -117,8 +116,7 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     flips is unique: a walk of ``math.nextafter`` steps from a* reaches it
     and returns the midpoint a bisection of [0, beta_i*r/c_i] returns.
     Where a* cancels (others close to beta_i*r/c_i - 1) the walk can need
-    millions of steps, so past _WALK_STEPS it bisects, as it does where the
-    bisection's midpoints could overflow.
+    millions of steps, so past _WALK_STEPS it bisects.
     """
     if c_i <= 0.0:
         raise ValueError(f"cost must be positive, got {c_i!r}")
@@ -133,16 +131,15 @@ def best_response_effort(beta_i: float, r: float, c_i: float, others_total: floa
     if not rising(0.0):
         return 0.0
     hi = beta_i * r / c_i
-    if hi + hi < math.inf:
-        a = max(hi - others_total - 1.0, 0.0)
-        up = rising(a)
-        for _ in range(_WALK_STEPS):
-            b = math.nextafter(a, math.inf if up else 0.0)
-            if b > hi:
-                break
-            if rising(b) != up:
-                return 0.5 * (a + b)
-            a = b
+    a = max(hi - others_total - 1.0, 0.0)
+    up = rising(a)
+    for _ in range(_WALK_STEPS):
+        b = math.nextafter(a, math.inf if up else 0.0)
+        if b > hi:
+            break
+        if rising(b) != up:
+            return 0.5 * a + 0.5 * b
+        a = b
     return _slope_polish(rising, hi, 0.0, hi)
 
 
@@ -152,10 +149,13 @@ def _slope_polish(rising: Callable[[float], bool], z: float, lo: float, hi: floa
     Value comparisons cannot place a flat top closer than about
     sqrt(machine epsilon); the slope's sign can. ``rising(x)`` says whether
     the objective still increases at x. Returns z unchanged unless the
-    slope turns from rising at lo to falling at hi.
+    slope turns from rising at lo to falling at hi. The midpoint
+    0.5*lo + 0.5*hi cannot overflow, and it is 0.5*(lo + hi) to the bit
+    wherever that sum is finite and neither end is below 2**-1021 in
+    magnitude but not zero (halving such an end can round).
     """
     if rising(lo) and not rising(hi):
-        while lo < (z := 0.5 * (lo + hi)) < hi:
+        while lo < (z := 0.5 * lo + 0.5 * hi) < hi:
             lo, hi = (z, hi) if rising(z) else (lo, z)
     return z
 
@@ -323,44 +323,69 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
     fixed T, F1 = s*A - d1 and F2 = (1-s)*B - d2 are linear in s = a1/T
     (A = beta*r*log1p(T) - c1*T, B likewise), so the best split is the
-    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1].
+    equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. The search
+    runs over log T in [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2).
 
-    The ``starts`` grids over log T in [log(hi) - 25, log(hi)],
-    hi = beta*r/min(c1, c2), are shifted by phases (k + 0.5)/starts, so
-    together they form one uniform grid whose every ``starts``-th point
-    belongs to start k; it is evaluated once. Each start finds the local
-    maxima of its own points and climbs from each, uphill on the shared
-    grid, to a shared-grid peak. Each such peak is refined once, by golden
-    section over its two neighbouring cells (a penalty outside positive
-    surpluses leads into a narrow feasible window) and by bisecting the
-    analytic slope, and every start that reaches it takes the result. A
-    start whose own points miss the global basin still ends on a lower
-    peak, so the spread of the starts' maximizers
-    (``multistart_agreement``) keeps measuring uniqueness.
+    With d1, d2 >= 0 no bargain clears above the effort T0 at which the
+    costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T turns negative
+    (the product is a flat penalty there), and below T0 the product has
+    one peak in log T. One search finds it: golden section over
+    [log(hi) - 25, log T0], T0 bisected from the margin's sign, then a
+    bisection of the analytic slope's sign within 1e-5 of that point and
+    at least 1e-5 inside the window. ``starts`` is unused, and
+    ``multistart_agreement`` is 0 by construction.
+
+    A negative d_i can make the product bimodal, and ``starts`` grids,
+    shifted by phases (k + 0.5)/starts, are searched instead. Together
+    they form one uniform grid, evaluated once, whose every
+    ``starts``-th point belongs to start k. Each start climbs from each
+    of its own points' local maxima, uphill on the shared grid, to a
+    shared-grid peak, refined once by golden section over its two
+    neighbouring cells (a penalty outside positive surpluses leads into a
+    narrow feasible window) and the same slope bisection. A start whose
+    own points miss the global basin ends on a lower peak, so the spread
+    of the starts' maximizers (``multistart_agreement``) measures
+    uniqueness.
 
     Raises
     ------
     InfeasibleBargainError
-        If no start finds a point with both surpluses positive.
+        If no search finds a point with both surpluses positive.
     """
     z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
     br = beta * r
 
-    # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
-    idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
-            for z in (max(math.log(br / c - 1.0), z_lo),)]
+    if d1 >= 0.0 and d2 >= 0.0:
+        c_max = max(c1, c2)
 
-    zs = [z_lo, *(z_lo + o for o in _union_offsets(starts)), z_hi]
-    v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
+        def profits(z):
+            t = math.exp(z)
+            return br * math.log1p(t) > c_max * t
 
-    def peaks(k):
-        return {_climb(v.__getitem__, j * starts + k + 1) for j in _grid_peaks(v[k + 1:-1:starts])}
+        starts, ends = 1, []  # one search
+        if profits(z_lo):
+            z = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=1e-7)
+            # _refine's polish, within h = 1e-5 and at least h inside the window
+            ends = [_slope_polish(rising, z, max(z - 1e-5, z_lo + 1e-5),
+                                  min(z + 1e-5, z_hi - 1e-5))]
+    else:
+        # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
+        idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
+                for z in (max(math.log(br / c - 1.0), z_lo),)]
 
-    reached = [peaks(k) for k in range(starts)]
-    refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
-    # a start that reaches no peak has no candidate unless an idle point stands in
-    candidates = [[refined[i] for i in r] + idle for r in reached]
-    found = [p for p in (point(max(c)[1]) for c in candidates if c) if p[2] > 0.0 and p[3] > 0.0]
+        zs = [z_lo, *(z_lo + o for o in _union_offsets(starts)), z_hi]
+        v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
+
+        def peaks(k):
+            return {_climb(v.__getitem__, j * starts + k + 1)
+                    for j in _grid_peaks(v[k + 1:-1:starts])}
+
+        reached = [peaks(k) for k in range(starts)]
+        refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
+        # a start that reaches no peak has no candidate unless an idle point stands in
+        candidates = [[refined[i] for i in r] + idle for r in reached]
+        ends = [max(c)[1] for c in candidates if c]
+    found = [p for p in map(point, ends) if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
             f"no effort pair beats the disagreement point (d1={d1:.6g}, d2={d2:.6g})"
@@ -376,62 +401,6 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         converged=len(found) == starts and agreement <= _AGREEMENT_TOL,
         multistart_agreement=agreement,
     )
-
-
-def _scan_total(r: float, c1: float, c2: float, beta: float, d1: float, d2: float,
-                start: float | None = None) -> tuple[float, float]:
-    """Total effort of the bargain at share beta, given d1, d2 >= 0: the
-    total of ``nash_product_maximize(..., starts=4)``, bit for bit, from
-    one search instead of four starts, or InfeasibleBargainError where that
-    search raises it. The nested outer scan uses it. Returns the total and
-    the log-T grid peak its climb reached, which the scan passes as
-    ``start`` to the next share's climb.
-
-    The costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T is positive
-    only below an effort T0, so no bargain clears above T0; a share whose
-    margin is not positive at the window's bottom is infeasible. Below T0
-    the product has one peak in log T, and a climb on the 4-start search's
-    grid reaches the grid peak that search reaches. The climb begins at
-    ``start`` if that grid point is feasible, else at a coarse golden
-    section over [z_lo, min(z_hi, log T0)], T0 bisected from the margin's
-    sign. The peak is refined as the 4-start search refines it; a refined
-    point that is not feasible makes the share infeasible.
-    """
-    z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
-    br, c_max = beta * r, max(c1, c2)
-
-    def profits(z):
-        t = math.exp(z)
-        return br * math.log1p(t) > c_max * t
-
-    if not profits(z_lo):
-        raise InfeasibleBargainError("the costlier ISP's margin is not positive at any effort "
-                                     "in the window")
-    offsets = _union_offsets(4)
-    step = offsets[1] - offsets[0]
-
-    def grid(i):  # the 4-start search's grid point i, its ends z_lo and z_hi
-        return z_lo if i == 0 else z_hi if i > len(offsets) else z_lo + offsets[i - 1]
-
-    @functools.cache
-    def v(i):  # its value there, the ends scored as minus infinity
-        return merit(grid(i)) if 0 < i <= len(offsets) else -math.inf
-
-    def index(z):  # the grid point nearest z, off the ends
-        return min(max(round((z - z_lo) / step + 0.5), 1), len(offsets))
-
-    # a feasible point's log product is above -1500, an infeasible one's merit at most -1e6
-    if start is None or not v(i := index(start)) > -_PENALTY:
-        i = index(golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi),
-                                     tol=step))
-    i = _climb(v, i)
-    # _refine reads the peak's neighbours and the window's ends
-    xs = [grid(k) for k in (0, i - 1, i, i + 1, len(offsets) + 1)]
-    t, s, f1, f2 = point(_refine(merit, xs, 2, 1e-7, rising, 1e-5)[1])
-    if not (f1 > 0.0 and f2 > 0.0):
-        raise InfeasibleBargainError(f"no effort gives both ISPs a positive surplus over the "
-                                     f"disagreement point (d1={d1:.6g}, d2={d2:.6g})")
-    return s * t + (1.0 - s) * t, grid(i)
 
 
 def regulated_competitive_utilities_numeric(
@@ -487,44 +456,31 @@ def solve_asymmetric_cooperative(
     a tie between neighbours, or a search that ends on an infeasible
     share, scores the whole grid instead. So does a negative d_i, which
     can give the grid two peaks, and a top share whose beta*r/min(c)
-    overflows, so that the scan raises as it always has.
-
-    Each scanned share's bargain is the 4-start ``nash_product_maximize``.
-    With d1, d2 >= 0 its product has one peak in log T, so the scan takes
-    the same total, or the same InfeasibleBargainError, from one search
-    (``_scan_total``): a climb to the one grid peak, starting at the grid
-    peak of the last feasible share scored where that point is still
-    feasible (else below the effort at which the costlier ISP's margin
-    turns negative), then the 4-start search's refinement of that peak. A
-    negative d_i can make the product bimodal and keeps the 4 starts.
+    overflows, so that the scan raises as it always has. Each scanned
+    share's bargain is ``nash_product_maximize(..., starts=4)``, one search
+    where d1, d2 >= 0.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
     ``foc_residual`` is the analytic gradient of log F1 + log F2 at the
     returned efforts, times total effort; at an idle ISP only a rising
     product counts. A bargain that no effort pair makes feasible raises
-    InfeasibleBargainError, and a final bargain whose starts disagree raises
-    BargainNotConvergedError.
+    InfeasibleBargainError, and a final multistart bargain whose starts
+    disagree raises BargainNotConvergedError.
     """
     d1, d2 = (disagreement.d1, disagreement.d2) if disagreement.kind == "custom" else (0.0, 0.0)
     if disagreement.kind == "regulated-competitive":
         d1, d2 = regulated_competitive_utilities_numeric(r, c1, c2)
 
-    # with a negative d_i the product can have two peaks in log T
+    # with a negative d_i the share grid can have two peaks
     unimodal = d1 >= 0.0 and d2 >= 0.0
-
-    start = None  # the log-T grid peak of the last feasible scanned share
 
     @functools.cache  # golden section re-scores its bracket ends and its result
     def cp_value(b: float) -> float:
-        nonlocal start
         if not 1e-6 < b < 1.0 - 1e-12:
             return -math.inf
         try:
-            if unimodal:
-                total, start = _scan_total(r, c1, c2, b, d1, d2, start)
-            else:
-                total = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total
+            total = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total
         except InfeasibleBargainError:
             return -math.inf
         return (1.0 - b) * r * math.log(total + 1.0)

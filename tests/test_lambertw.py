@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -156,6 +157,34 @@ def test_matches_mpmath_up_to_largest_floats(x):
     with mpmath.workdps(50):
         ref = mpmath.lambertw(x)
         assert abs((lambert_w0(x) - ref) / ref) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(st.floats(-math.exp(-1.0), E),
+                   st.floats(math.log(1e-17), 0.0).map(lambda t: -math.exp(-1.0) + math.exp(t))))
+@example(x=-math.exp(-1.0) + 2e-15)
+@example(x=5e-324)
+@example(x=E)
+def test_bisection_fallback_meets_the_residual_from_the_branch_point_to_e(x):
+    # Halley settles on every argument up to e, so the bracketing fallback
+    # runs only where Halley is made to fail; its residual, evaluated at 50
+    # digits, is the one lambert_w0 documents
+    with mock.patch("revshare.lambertw._halley", return_value=None):
+        w = lambert_w0(x)
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(w) * mpmath.exp(w) - x) <= _REL_TOLERANCE * max(1.0, abs(x))
+
+
+def test_halley_nudges_off_w_equal_minus_one():
+    # w = -1 zeroes Halley's denominator; a 1e-6 step moves it off
+    w = _halley(-0.3, -1.0)
+    assert abs(w * math.exp(w) + 0.3) <= _REL_TOLERANCE
+
+
+def test_halley_tests_the_residual_after_its_last_iteration(monkeypatch):
+    monkeypatch.setattr("revshare.lambertw._MAX_ITERATIONS", 0)
+    assert _halley(E, 1.0) == 1.0
+    assert _halley(E, 0.5) is None
 
 
 def test_bisection_fallback_reaches_largest_floats():

@@ -69,12 +69,20 @@ class TestBestResponseEffort:
         # a* = 5 - others - 1 cancels to about 1e-12 with an error near
         # ulp(5), some 1e12 float steps at that size: past the step cap
         (0.5, 10.0, 1.0, 4.0 - 1e-12),
-        # above half the largest float the bisection's lo + hi overflows
-        # and it returns inf, where a walk would end near 0.8e308
-        (1.0, 1.5e308, 1.0, 0.7e308),
     ])
     def test_bisects_where_the_walk_stops(self, beta, r, c, others):
         assert best_response_effort(beta, r, c, others) == _bisected_response(beta, r, c, others)
+
+    @pytest.mark.parametrize("beta,r,c,others", [
+        # above half the largest float a midpoint 0.5*(lo + hi) overflows,
+        # and the walk and the bisection returned inf
+        (1.0, 1.5e308, 1.0, 0.7e308),
+        (1.0, 1.4e308, 1.0, 0.0),
+    ])
+    def test_efforts_near_the_largest_float_are_finite(self, beta, r, c, others):
+        stationary = beta * r / c - others - 1.0
+        got = best_response_effort(beta, r, c, others)
+        assert abs(got - stationary) <= 4 * math.ulp(stationary)
 
 
 def _bisected_response(beta_i, r, c_i, others_total):
@@ -509,65 +517,92 @@ def test_shared_grid_never_loses_to_per_start_search(c1, c2, margin, beta, sign,
     assert new_log >= old_log - 1e-12 * max(1.0, abs(old_log))
 
 
-def _total_or_infeasible(search):
+def _multistart(r, c1, c2, beta, d1, d2, starts=4):
+    # nash_product_maximize's multistart search, which also ran for d1, d2
+    # >= 0 before those bargains took one search. Returns the total effort
+    # and log Nash product of its bargain, or raises InfeasibleBargainError
+    z_lo, z_hi, point, merit, rising = oracle._bargain(r, c1, c2, beta, d1, d2)
+    br = beta * r
+    idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
+            for z in (max(math.log(br / c - 1.0), z_lo),)]
+    zs = [z_lo, *(z_lo + o for o in oracle._union_offsets(starts)), z_hi]
+    v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
+    reached = [{oracle._climb(v.__getitem__, j * starts + k + 1)
+                for j in oracle._grid_peaks(v[k + 1:-1:starts])} for k in range(starts)]
+    refined = {i: oracle._refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
+    candidates = [[refined[i] for i in r] + idle for r in reached]
+    found = [p for p in (point(max(c)[1]) for c in candidates if c) if p[2] > 0.0 and p[3] > 0.0]
+    if not found:
+        raise InfeasibleBargainError("no effort pair beats the disagreement point")
+    t, s, f1, f2 = max(found, key=lambda p: math.log(p[2]) + math.log(p[3]))
+    return s * t + (1.0 - s) * t, math.log(f1) + math.log(f2)
+
+
+def _bargain_or_none(search):
     try:
         return search()
     except InfeasibleBargainError:
         return None
 
 
-def _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, seed_beta):
-    # the climb starts cold, or at the grid peak of the share seed_beta
-    seed = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, seed_beta, d1, d2))
-    cold = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2)[0])
-    warm = _total_or_infeasible(
-        lambda: oracle._scan_total(r, c1, c2, beta, d1, d2, seed[1] if seed else None)[0])
-    multistart = _total_or_infeasible(
-        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
-    assert cold == warm == multistart
-    return multistart
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(-25.0, 25.0), log_ratio=st.floats(0.0, 25.0),
+       first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
+       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+def test_non_negative_disagreement_ignores_starts(log_cost, log_ratio, first_costlier, margin,
+                                                  beta, u1, u2):
+    # with d1, d2 >= 0 one search finds the product's one peak: the nested
+    # scan's 4 starts and the final bargain's 8 give the same bargain
+    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
+    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
+    r = (c1 + c2) * margin
+    four, eight = (_bargain_or_none(lambda: nash_product_maximize(
+        r, c1, c2, beta, u1 * r, u2 * r, starts=starts)) for starts in (4, 8))
+    assert repr(four) == repr(eight)
+    if four is not None:
+        assert four.converged and four.multistart_agreement == 0.0
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(log_cost=st.floats(math.log(1e-4), math.log(1e4)), log_ratio=st.floats(0.0, 20.0),
-       first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
-       seed_beta=st.floats(0.01, 0.99),
-       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
-       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
-def test_scan_bargain_is_the_four_start_total(log_cost, log_ratio, first_costlier, margin, beta,
-                                              seed_beta, u1, u2):
-    # with d1, d2 >= 0 the outer scan takes each bargain from one search,
-    # which must end on the 4-start search's total bit for bit, or prove
-    # the share infeasible where that search finds no bargain
-    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
-    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
-    r = (c1 + c2) * margin
-    _assert_scan_is_the_four_start_total(r, c1, c2, beta, u1 * r, u2 * r, seed_beta)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(log_cost=st.floats(-25.0, 25.0), log_ratio=st.floats(0.0, 25.0),
        first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
-       where=st.floats(0.0, 1.0), first_owes_more=st.booleans(),
-       u_hi=st.floats(0.0, 0.05), u_lo=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
-def test_scan_bargain_from_any_start_is_the_four_start_total(
-        log_cost, log_ratio, first_costlier, margin, beta, where, first_owes_more, u_hi, u_lo):
-    # a warm start anywhere in the log-T window, feasible or stranded on
-    # the flat plateau above the costlier ISP's zero margin, ends on the
-    # 4-start total or raises where the 4-start search raises, and never
-    # runs that search itself
+       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+def test_one_search_matches_the_multistart(log_cost, log_ratio, first_costlier, margin, beta,
+                                           u1, u2):
+    # The one search raises only where the 4-start search raises (1 of
+    # 23,000 such draws found a bargain the 4 starts step over, as in
+    # the test below). Where both find a bargain, its log Nash product is
+    # lower by no more than the rounding of evaluating log(F1) + log(F2):
+    # each F_i = s*A - d_i sums terms no larger than
+    # beta*r*log1p(T) + max(c)*T + d1 + d2, so it is off by about eps times
+    # that scale, and log F_i by that over F_i
     c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
     c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
     r = (c1 + c2) * margin
-    big, small = u_hi * r, u_lo * u_hi * r
-    d1, d2 = (big, small) if first_owes_more else (small, big)
-    z_lo, z_hi, *_ = oracle._bargain(r, c1, c2, beta, d1, d2)
-    start = z_lo + where * (z_hi - z_lo)
-    multistart = _total_or_infeasible(
-        lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total)
-    with mock.patch.object(oracle, "nash_product_maximize", side_effect=AssertionError):
-        scan = _total_or_infeasible(lambda: oracle._scan_total(r, c1, c2, beta, d1, d2, start)[0])
-    assert scan == multistart
+    d1, d2 = u1 * r, u2 * r
+    old = _bargain_or_none(lambda: _multistart(r, c1, c2, beta, d1, d2))
+    new = _bargain_or_none(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4))
+    assert new is not None or old is None
+    if new is not None and old is not None:
+        (f1, f2), total = new.surpluses, new.efforts.total
+        scale = beta * r * math.log1p(total) + max(c1, c2) * total + d1 + d2
+        noise = 2.0 ** -52 * scale * (1.0 / f1 + 1.0 / f2)
+        assert math.log(f1) + math.log(f2) >= old[1] - noise
+
+
+def test_one_search_finds_a_window_narrower_than_a_grid_cell():
+    # both margins clear only for log T within 0.02 of the window's bottom,
+    # below the first point of the 4- and 8-start grids (0.049 and 0.024
+    # up): the multistart finds no bargain, the search over the bracket does
+    args = (394576535.3445907, 97095705.8397386, 0.003042194910175023, 0.319495387200872,
+            872728.3894650964, 17188663.01199888)
+    for starts in (4, 8):
+        with pytest.raises(InfeasibleBargainError):
+            _multistart(*args, starts=starts)
+    f1, f2 = nash_product_maximize(*args).surpluses
+    assert f1 > 6e4 and f2 > 2e6
 
 
 @pytest.mark.parametrize("r,c1,c2,beta,d1,d2", [
@@ -588,12 +623,14 @@ def test_scan_bargain_from_any_start_is_the_four_start_total(
 ])
 def test_scan_bargain_is_the_four_start_total_on_edge_markets(r, c1, c2, beta, d1, d2):
     # The first five have margins A, B whose product A*B underflows: a
-    # split chosen by the product's sign gave one ISP everything, and
-    # neither search found a bargain. The first one's total is
-    # 1.0510696684861227e+57. On the last two, min(d1/A + d2/B) is
-    # 1 - 7e-12 and 1 - 9e-12: the climb's grid peak is not feasible, and
-    # the refined point is the 4-start bargain.
-    assert _assert_scan_is_the_four_start_total(r, c1, c2, beta, d1, d2, 0.5) is not None
+    # split chosen by the product's sign gave one ISP everything, and no
+    # search found a bargain. The one search keeps the 4-start search's
+    # totals bit for bit; the first one's is 1.0510696684861227e+57. On the
+    # last two, min(d1/A + d2/B) is 1 - 7e-12 and 1 - 9e-12: knife edges
+    # whose bargain stays feasible
+    total = nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total
+    if r < 1e-100:
+        assert total == _multistart(r, c1, c2, beta, d1, d2)[0]
 
 
 class TestSolveAsymmetricCooperative:
@@ -750,38 +787,36 @@ class TestSolveAsymmetricCooperative:
         ((10.0, 0.5, 1.0), DisagreementPolicy.zero(), 0),
         ((10.0, 0.5, 1.0), DisagreementPolicy.custom(0.2, 0.3), 0),
         ((10.0, 0.5, 1.0), DisagreementPolicy.regulated_competitive(), 6),
-        # a warm start no longer feasible at the next share climbed to the
-        # edge of the costlier ISP's flat plateau, and 26 scans reran the
-        # 4-start search
+        # a climb warm-started at the last feasible share's peak once
+        # stranded on the edge of the costlier ISP's flat plateau here
         ((2.4785394825016343, 1.3126969868884948, 0.05447067055393765),
          DisagreementPolicy.custom(0.09323202368249456, 0.10293511083625789), 3),
     ])
     def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, market,
                                                                     policy, raised):
-        # only the final bargain runs the multistart search; the 4-start
-        # search agrees that each share the scan finds infeasible is so
+        # every bargain, scanned at 4 starts or final at 8, is one search
+        # that climbs no multistart grid; the 4-start search agrees that
+        # each share found infeasible is so
         calls, infeasible = [], []
-        real, real_scan = oracle.nash_product_maximize, oracle._scan_total
+        real = oracle.nash_product_maximize
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        def scan(*args):
             try:
-                return real_scan(*args)
+                return real(*args, **kwargs)
             except InfeasibleBargainError:
                 infeasible.append(args[:6])
                 raise
 
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
-        monkeypatch.setattr(oracle, "_scan_total", scan)
+        monkeypatch.setattr(oracle, "_climb", None)
         solve_asymmetric_cooperative(*market, policy)
-        assert calls == [{}]
+        assert calls[:-1] == [{"starts": 4}] * (len(calls) - 1) and calls[-1] == {}
         assert len(infeasible) == raised
+        monkeypatch.undo()
         for args in infeasible:
             with pytest.raises(InfeasibleBargainError):
-                real(*args, starts=4)
+                _multistart(*args)
 
     def test_negative_disagreement_scans_with_the_multistart(self, monkeypatch):
         calls = []
@@ -792,7 +827,6 @@ class TestSolveAsymmetricCooperative:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
-        monkeypatch.setattr(oracle, "_scan_total", None)
         solve_asymmetric_cooperative(10.0, 0.5, 1.0, DisagreementPolicy.custom(-0.5, 0.3))
         scanned = [beta for beta, kwargs in calls[:-1] if kwargs == {"starts": 4}]
         assert len(scanned) == len(calls) - 1 == len(set(scanned))
@@ -819,18 +853,18 @@ class TestSolveAsymmetricCooperative:
         # a tie at its first pair; the full scan reads all 41 shares and
         # reports the overflow
         found, scored = [], []
-        real_peak, real_scan = oracle._one_peak, oracle._scan_total
+        real_peak, real_nash = oracle._one_peak, oracle.nash_product_maximize
 
         def peak(*args):
             found.append(real_peak(*args))
             return found[-1]
 
-        def scan(*args):
+        def nash(*args, **kwargs):
             scored.append(args[3])
-            return real_scan(*args)
+            return real_nash(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_one_peak", peak)
-        monkeypatch.setattr(oracle, "_scan_total", scan)
+        monkeypatch.setattr(oracle, "nash_product_maximize", nash)
         with pytest.raises(NonFiniteOutcomeError, match="cp_utility: inf"):
             solve_asymmetric_cooperative(1e307, 1.0, 2.0, DisagreementPolicy.zero())
         assert found == [None]
