@@ -14,7 +14,9 @@ shape changes with n, a fixed-public-effort csv whose shares move with
 reports. The README's ``compare-coop-comp --sweep ... --plot`` example
 writes a plot file, so ``test_cli.py``'s plot test pins it, stdout and SVG.
 The ``*-default-scenario`` rows leave out the one scenario ``nbs`` and
-``shapley`` take and must print their README example's golden.
+``shapley`` take and must print their README example's golden. The
+``*-custom-negative`` rows pin the nested bargain where a negative
+disagreement utility can give the Nash product two peaks.
 """
 import re
 from pathlib import Path
@@ -81,6 +83,10 @@ EXAMPLES = {
         0, "sweep --scenario n-scaling --r 10 --c 0.5 --n 3 --sweep r:1:20:4"),
     "shapley-default-scenario": (0, "shapley --r 10 --c 0.5,1.0 --branch isp1"),
     "nbs-default-scenario": (0, "nbs --r 10 --c 0.5,1.0 --disagreement zero"),
+    "nbs-regulated-cooperative-custom-negative": (
+        0, "nbs --scenario regulated-cooperative --r 10 --c 0.5,1.0 --disagreement=-0.5,0.3"),
+    "compare-coop-comp-custom-negative": (
+        0, "compare --scenario compare-coop-comp --r 10 --c 0.5,1.0 --disagreement=-0.5,-0.2"),
 }
 # Rows that print what another row prints, and the golden file they share.
 SHARED_GOLDEN = {"shapley-default-scenario": "shapley-regulated-cooperative",
