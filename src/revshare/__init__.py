@@ -37,7 +37,6 @@ from .compare import (
 )
 from .lambertw import lambert_w0, log_x_over_w
 from .model import (
-    BargainNotConvergedError,
     BargainingResult,
     Branch,
     Contract,

@@ -27,7 +27,6 @@ __all__ = [
     "DegenerateRegimeError",
     "InfeasibleEffortError",
     "InfeasibleBargainError",
-    "BargainNotConvergedError",
     "NonFiniteOutcomeError",
     "demand",
     "equal_costs",
@@ -54,10 +53,6 @@ class InfeasibleEffortError(Exception):
 class InfeasibleBargainError(Exception):
     """Raised when no effort/share allocation gives every bargainer strictly
     more than its disagreement utility."""
-
-
-class BargainNotConvergedError(ArithmeticError):
-    """Raised when the starts of a Nash-bargaining search disagree."""
 
 
 class NonFiniteOutcomeError(ArithmeticError):
@@ -281,10 +276,10 @@ class BargainingResult:
 
     ``share_split`` is the implied (beta1, beta2) division of the joint
     share; ``surpluses`` are the factors F_i = U_i - d_i of the Nash
-    product at the solution; ``multistart_agreement`` is the largest
-    effort gap between a start's maximizer and the chosen one, 0 by
-    construction where d1, d2 >= 0 (one search finds the product's one
-    peak, and ``converged`` is True whenever a bargain is found).
+    product at the solution. ``converged`` is True and
+    ``multistart_agreement`` 0 by construction: the search returns its
+    best point or raises. Both stay because ``nbs`` prints them and
+    the NBS battery checks them.
     """
 
     efforts: EffortProfile

@@ -2,16 +2,15 @@
 
 Nothing here evaluates Lambert W or any W-based formula. Follower problems
 are solved by the sign of the payoff's slope, walked in float steps from
-the stationary point or bisected. Leader problems, the multistart
-bargaining stage over log total effort (with the split at each total in
-closed form) and the nested cooperative game's share stage are grid
-searches with one peak rule and one refine step: golden section at every
-grid peak, then, for the first two, a slope-sign bisection. With
-non-negative disagreement a bargain's product has one peak, which one
-golden section and bisection find, and the share stage bisects the sign
-of its grid's slope for its one peak instead of scoring every share. When
-these and the closed forms disagree, the numbers computed here are
-authoritative.
+the stationary point or bisected. Leader problems, the bargaining stage
+over log total effort (with the split at each total in closed form) and
+the nested cooperative game's share stage are grid searches with one peak
+rule and one refine step: golden section at every grid peak, then, for
+the first two, a slope-sign bisection. With non-negative disagreement a
+bargain's product has one peak, which one golden section and bisection
+find without a grid, and the share stage bisects the sign of its grid's
+slope for its one peak instead of scoring every share. When these and the
+closed forms disagree, the numbers computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import math
 from typing import Callable
 
 from .model import (
-    BargainNotConvergedError,
     BargainingResult,
     Contract,
     DisagreementPolicy,
@@ -44,18 +42,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Float steps a best response walks from its stationary point before it
 # bisects instead.
 _WALK_STEPS = 8
-# Leader grid on [0, 1] and its golden-section stop; bargaining starts per
-# Nash solve.
+# Leader grid on [0, 1] and its golden-section stop.
 _LEADER_GRID = 65
 _REFINE_TOL = 1e-10
-_NASH_STARTS = 8
-# Every start must land on the same maximizer for the bargaining stage to
-# count as converged (the solution is unique when it exists).
-_AGREEMENT_TOL = 1e-6
 _PENALTY = 1e6
-# Points per start over the 25 units of log total effort; the starts' grids
-# interleave into one grid of _NASH_GRID * starts points, evaluated once.
-_NASH_GRID = 64
+# Points over the 25 units of log total effort where a negative d_i can give
+# the Nash product two peaks.
+_NASH_GRID = 256
 # Coarse outer grid for the nested leader search; each evaluation runs a
 # full bargaining solve.
 _NESTED_GRID = 41
@@ -292,32 +285,8 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
     return z_lo, z_hi, point, merit, rising
 
 
-@functools.cache
-def _union_offsets(starts: int) -> tuple[float, ...]:
-    """Offsets from z_lo of the ``starts`` grids of _NASH_GRID points over
-    25 units of log T, phases (k + 0.5)/starts, interleaved into one
-    uniform grid: start k owns offsets k, k + starts, ...
-    """
-    phases = [(k + 0.5) / starts for k in range(starts)]
-    return tuple((j + p) * 25.0 / _NASH_GRID for j in range(_NASH_GRID) for p in phases)
-
-
-def _climb(v: Callable[[int], float], i: int) -> int:
-    """Uphill on a grid from index i to a point with v(i-1) < v(i) >= v(i+1);
-    indices 0 and the last hold minus infinity, and the climb stays off them.
-    """
-    while True:
-        if v(i + 1) > v(i):
-            i += 1
-        elif i > 1 and v(i - 1) >= v(i):
-            i -= 1
-        else:
-            return i
-
-
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
-                          d1: float = 0.0, d2: float = 0.0,
-                          starts: int = _NASH_STARTS) -> BargainingResult:
+                          d1: float = 0.0, d2: float = 0.0) -> BargainingResult:
     """Maximize the Nash product of the two ISPs' surpluses over efforts.
 
     F_i = (beta*a_i/T)*r*log(T+1) - c_i*a_i - d_i with T = a1 + a2. At a
@@ -332,20 +301,18 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     one peak in log T. One search finds it: golden section over
     [log(hi) - 25, log T0], T0 bisected from the margin's sign, then a
     bisection of the analytic slope's sign within 1e-5 of that point and
-    at least 1e-5 inside the window. ``starts`` is unused, and
-    ``multistart_agreement`` is 0 by construction.
+    at least 1e-5 inside the window. Where the costlier ISP loses money
+    over the whole window (max(c)/min(c) above about e^25) but
+    beta*r > max(c1, c2), the window starts at log(beta*r/max(c)) - 25.
 
-    A negative d_i can make the product bimodal, and ``starts`` grids,
-    shifted by phases (k + 0.5)/starts, are searched instead. Together
-    they form one uniform grid, evaluated once, whose every
-    ``starts``-th point belongs to start k. Each start climbs from each
-    of its own points' local maxima, uphill on the shared grid, to a
-    shared-grid peak, refined once by golden section over its two
-    neighbouring cells (a penalty outside positive surpluses leads into a
-    narrow feasible window) and the same slope bisection. A start whose
-    own points miss the global basin ends on a lower peak, so the spread
-    of the starts' maximizers (``multistart_agreement``) measures
-    uniqueness.
+    A negative d_i can make the product bimodal. Then a uniform grid of
+    _NASH_GRID points over the window is evaluated, every grid peak is
+    refined by golden section over its two neighbouring cells (a penalty
+    outside positive surpluses leads into a narrow feasible window) and
+    the same slope bisection, and the points where one ISP idles while the
+    other's margin peaks join them; the best feasible point wins.
+
+    ``converged`` is True and ``multistart_agreement`` 0 by construction.
 
     Raises
     ------
@@ -362,44 +329,35 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
             t = math.exp(z)
             return br * math.log1p(t) > c_max * t
 
-        starts, ends = 1, []  # one search
+        if not profits(z_lo) and br > c_max:
+            z_lo = math.log(br / c_max) - 25.0
+        ends = []
         if profits(z_lo):
             z = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=1e-7)
             # _refine's polish, within h = 1e-5 and at least h inside the window
             ends = [_slope_polish(rising, z, max(z - 1e-5, z_lo + 1e-5),
                                   min(z + 1e-5, z_hi - 1e-5))]
     else:
+        zs = [z_lo, *(z_lo + (i + 0.5) * 25.0 / _NASH_GRID for i in range(_NASH_GRID)), z_hi]
+        vals = [merit(z) for z in zs[1:-1]]
+        ends = [_refine(merit, zs, j + 1, 1e-7, rising, 1e-5)[1] for j in _grid_peaks(vals)]
         # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
-        idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
-                for z in (max(math.log(br / c - 1.0), z_lo),)]
-
-        zs = [z_lo, *(z_lo + o for o in _union_offsets(starts)), z_hi]
-        v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
-
-        def peaks(k):
-            return {_climb(v.__getitem__, j * starts + k + 1)
-                    for j in _grid_peaks(v[k + 1:-1:starts])}
-
-        reached = [peaks(k) for k in range(starts)]
-        refined = {i: _refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
-        # a start that reaches no peak has no candidate unless an idle point stands in
-        candidates = [[refined[i] for i in r] + idle for r in reached]
-        ends = [max(c)[1] for c in candidates if c]
+        ends += [max(math.log(br / c - 1.0), z_lo) for d, c in ((d1, c2), (d2, c1))
+                 if d < 0.0 and br > c]
     found = [p for p in map(point, ends) if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(
             f"no effort pair beats the disagreement point (d1={d1:.6g}, d2={d2:.6g})"
         )
-    total, s, f1, f2 = max(found, key=lambda p: math.log(p[2]) + math.log(p[3]))
-    a1, a2 = s * total, (1.0 - s) * total
-    agreement = max(max(abs(t * u - a1), abs(t * (1.0 - u) - a2)) for t, u, _, _ in found)
+    # a flat top can tie points to the last bit: the larger total wins
+    total, s, f1, f2 = max(found, key=lambda p: (math.log(p[2]) + math.log(p[3]), p[0]))
     return BargainingResult(
-        efforts=EffortProfile((a1, a2)),
+        efforts=EffortProfile((s * total, (1.0 - s) * total)),
         share_split=(beta * s, beta * (1.0 - s)),
         surpluses=(f1, f2),
         disagreement=(d1, d2),
-        converged=len(found) == starts and agreement <= _AGREEMENT_TOL,
-        multistart_agreement=agreement,
+        converged=True,
+        multistart_agreement=0.0,
     )
 
 
@@ -443,11 +401,12 @@ def solve_asymmetric_cooperative(
 
     Outer stage: the CP's share beta is scanned on a coarse grid and every
     local grid maximum is refined by golden section, scoring each beta by
-    (1-beta)*r*log(T+1) where T comes from the inner Nash-product
-    maximization (each share is scored once); the best refined or grid
-    share wins. Infeasible bargains score minus infinity. Where the grid's
-    lowest share wins, the share is halved while the CP value still rises
-    and that peak is refined. Pass ``beta`` to skip the outer stage.
+    (1-beta)*r*log(T+1) where T comes from the inner bargain,
+    ``nash_product_maximize``, run once per share and kept; the best
+    refined or grid share wins, and its kept bargain is the result.
+    Infeasible bargains score minus infinity. Where the grid's lowest share
+    wins, the share is halved while the CP value still rises and that peak
+    is refined. Pass ``beta`` to skip the outer stage.
 
     With d1, d2 >= 0 the grid's values rise to one peak and then fall
     (infeasible shares lie below the feasible ones: a larger share raises
@@ -456,17 +415,14 @@ def solve_asymmetric_cooperative(
     a tie between neighbours, or a search that ends on an infeasible
     share, scores the whole grid instead. So does a negative d_i, which
     can give the grid two peaks, and a top share whose beta*r/min(c)
-    overflows, so that the scan raises as it always has. Each scanned
-    share's bargain is ``nash_product_maximize(..., starts=4)``, one search
-    where d1, d2 >= 0.
+    overflows, so that the scan raises as it always has.
 
     Returns the materialized outcome (shares implied by effort proportions)
     together with the bargaining result at the chosen share. The outcome's
     ``foc_residual`` is the analytic gradient of log F1 + log F2 at the
     returned efforts, times total effort; at an idle ISP only a rising
     product counts. A bargain that no effort pair makes feasible raises
-    InfeasibleBargainError, and a final multistart bargain whose starts
-    disagree raises BargainNotConvergedError.
+    InfeasibleBargainError.
     """
     d1, d2 = (disagreement.d1, disagreement.d2) if disagreement.kind == "custom" else (0.0, 0.0)
     if disagreement.kind == "regulated-competitive":
@@ -476,14 +432,17 @@ def solve_asymmetric_cooperative(
     unimodal = d1 >= 0.0 and d2 >= 0.0
 
     @functools.cache  # golden section re-scores its bracket ends and its result
-    def cp_value(b: float) -> float:
-        if not 1e-6 < b < 1.0 - 1e-12:
-            return -math.inf
+    def bargain(b: float) -> BargainingResult | None:
         try:
-            total = nash_product_maximize(r, c1, c2, b, d1, d2, starts=4).efforts.total
+            return nash_product_maximize(r, c1, c2, b, d1, d2)
         except InfeasibleBargainError:
+            return None
+
+    def cp_value(b: float) -> float:
+        result = bargain(b) if 1e-6 < b < 1.0 - 1e-12 else None
+        if result is None:
             return -math.inf
-        return (1.0 - b) * r * math.log(total + 1.0)
+        return (1.0 - b) * r * math.log(result.efforts.total + 1.0)
 
     if beta is None:
         grid = [(k + 1) / (_NESTED_GRID + 1) for k in range(_NESTED_GRID)]
@@ -511,13 +470,10 @@ def solve_asymmetric_cooperative(
                 b /= 2.0
             beta_star = max(_refine(cp_value, [b / 2.0, b, 2.0 * b], 1, 1e-6), (cp_value(b), b),
                             key=lambda t: t[0])[1]
+        result = bargain(beta_star)
     else:
         beta_star = beta
-
-    result = nash_product_maximize(r, c1, c2, beta_star, d1, d2)
-    if not result.converged:
-        raise BargainNotConvergedError(f"bargain at beta={beta_star:.6g} did not converge: "
-                                       f"multistart spread {result.multistart_agreement:.3g}")
+        result = nash_product_maximize(r, c1, c2, beta_star, d1, d2)
     # revenue per unit of effort and its T-derivative
     (a1, a2), (f1, f2) = result.efforts.efforts, result.surpluses
     total = a1 + a2

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revshare import bargaining, cli, closed_form, oracle
+from revshare import bargaining, cli, closed_form
 from revshare.cli import SweepAxis, UsageError, parse_args
 from revshare.model import SCENARIOS, Branch, MarketParams, ScenarioKind, validate
 
@@ -751,22 +750,6 @@ class TestNbsCommand:
                                      "--disagreement", "competitive"])
         assert code == 2
         assert "surplus" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["nbs", "--scenario", "regulated-cooperative", "--disagreement", "zero"],
-        ["compare", "--scenario", "compare-coop-comp", "--disagreement", "zero"],
-    ])
-    def test_non_converged_bargain_exits_two(self, capsys, monkeypatch, argv):
-        real = oracle.nash_product_maximize
-
-        def split_starts(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(oracle, "nash_product_maximize", split_starts)
-        code, out, err = _run(capsys, argv + ["--r", "10", "--c", "0.5,1.0"])
-        assert code == 2
-        assert out == ""
-        assert "did not converge: multistart spread" in err
 
 
 def _degenerate_probe_points():

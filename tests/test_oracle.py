@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -15,7 +14,6 @@ from revshare.closed_form import (
     solve_symmetric_cooperative,
 )
 from revshare.model import (
-    BargainNotConvergedError,
     DisagreementPolicy,
     InfeasibleBargainError,
     NonFiniteOutcomeError,
@@ -328,19 +326,18 @@ class TestNashProductMaximize:
             nash_product_maximize(1e160, 1e-150, 1.0, 0.5)
 
     def test_effort_costs_overflowing_the_whole_window_are_infeasible(self):
-        # max(c)*T overflows at every grid point, so no start reaches a peak
-        # and no idle point stands in; this raised on an empty max()
+        # max(c)*T overflows over the whole window, so no search reaches a
+        # peak and no idle point stands in; this raised on an empty max()
         with pytest.raises(InfeasibleBargainError, match="no effort pair beats"):
             nash_product_maximize(5.87e-58, 2.77e205, 1.45e-289, 0.5)
 
-    @pytest.mark.parametrize("starts", [4, 8])
-    def test_overflowing_effort_cost_does_not_outscore_the_bargain(self, starts):
+    def test_overflowing_effort_cost_does_not_outscore_the_bargain(self):
         # the costlier ISP's c*T overflows at the window's top, where its
         # surplus 0*(-inf) is NaN; scored by the other surplus instead, that
         # point outranked the feasible peak and the search raised
         # InfeasibleBargainError
         result = nash_product_maximize(1.0660236493585454e+301, 1.6570527865295891e+286,
-                                       8.77835809579136e+295, 0.8033386732536274, starts=starts)
+                                       8.77835809579136e+295, 0.8033386732536274)
         assert result.efforts.total == 180218.49341429508
 
     def test_unreachable_disagreement_raises(self):
@@ -366,8 +363,8 @@ class TestNashProductMaximize:
         (-0.5, -0.3, 3.8849712028319505),
     ])
     def test_starts_share_one_refinement_per_peak(self, monkeypatch, d1, d2, total):
-        # all eight starts climb to the same union-grid peak, which is refined
-        # once; refining it per start (eight times) gave the same total
+        # one golden section: the one search where d1, d2 >= 0, and the
+        # grid's one peak, refined once, where a d_i is negative
         calls = []
         real = oracle.golden_section_max
 
@@ -376,10 +373,23 @@ class TestNashProductMaximize:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "golden_section_max", counted)
-        result = nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1, d2, starts=8)
+        result = nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1, d2)
         assert len(calls) == 1
         assert result.converged
         assert result.efforts.total == pytest.approx(total, rel=1e-12)
+
+    def test_two_peak_bargain_takes_the_interior_peak(self):
+        # an interior peak (log Nash product -9.26717) and an idle one
+        # (-9.27049): some of the 4- and 8-start multistart's starts missed
+        # the interior one, so it reported a spread of 2.28 and did not
+        # converge, and a nested solve whose final bargain landed here raised
+        result = nash_product_maximize(0.20593158619428897, 0.010220638924929382,
+                                       0.004965131554388034, 0.13037196103461401,
+                                       -0.004125138921902187, 0.0006029278475423766)
+        assert result.efforts.efforts == (0.5732458448536412, 2.122866074759802)
+        assert result.converged and result.multistart_agreement == 0.0
+        assert math.log(result.surpluses[0]) + math.log(result.surpluses[1]) == pytest.approx(
+            -9.26717, abs=1e-5)
 
 
 def _log_nash_product(r, c1, c2, beta, d1, d2, x, y):
@@ -493,9 +503,8 @@ def _per_start_nash(r, c1, c2, beta, d1, d2, starts):
 def test_shared_grid_never_loses_to_per_start_search(c1, c2, margin, beta, sign, u1, u2, starts):
     # Efforts are not compared: on a flat product they differ by up to 1e-3
     # relative while the products agree. Where the feasible window is
-    # narrower than a start's own cell, a start that steps over it still
-    # climbs into it on the shared grid: the shared search may then find a
-    # bargain, or agree, where the per-start one did not, never the reverse.
+    # narrower than a start's own cell, the search may find a bargain where
+    # the per-start one did not, never the reverse.
     r = (c1 + c2) * margin
     d1, d2 = sign * u1 * r, sign * u2 * r
 
@@ -505,30 +514,44 @@ def test_shared_grid_never_loses_to_per_start_search(c1, c2, margin, beta, sign,
         except Exception as exc:  # noqa: BLE001 - the types are compared
             return None, type(exc)
 
-    new, new_error = outcome(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=starts))
+    new, new_error = outcome(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2))
     old, old_error = outcome(lambda: _per_start_nash(r, c1, c2, beta, d1, d2, starts))
     if old is None:
         assert new_error is old_error or (new_error is None and old_error is InfeasibleBargainError)
         return
     assert new_error is None
-    old_converged, old_log = old
-    assert new.converged or not old_converged
+    _, old_log = old
     new_log = math.log(new.surpluses[0]) + math.log(new.surpluses[1])
     assert new_log >= old_log - 1e-12 * max(1.0, abs(old_log))
 
 
 def _multistart(r, c1, c2, beta, d1, d2, starts=4):
-    # nash_product_maximize's multistart search, which also ran for d1, d2
-    # >= 0 before those bargains took one search. Returns the total effort
+    # nash_product_maximize's multistart search, which ran for every bargain
+    # before d1, d2 >= 0 took one search and a negative d_i one grid: start k
+    # owns every starts-th point of a shared grid of 64*starts points, and
+    # climbs from each of its own points' peaks, uphill on the shared grid,
+    # to a shared-grid peak that is refined once. Returns the total effort
     # and log Nash product of its bargain, or raises InfeasibleBargainError
     z_lo, z_hi, point, merit, rising = oracle._bargain(r, c1, c2, beta, d1, d2)
     br = beta * r
     idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
             for z in (max(math.log(br / c - 1.0), z_lo),)]
-    zs = [z_lo, *(z_lo + o for o in oracle._union_offsets(starts)), z_hi]
+    phases = [(k + 0.5) / starts for k in range(starts)]
+    zs = [z_lo, *(z_lo + (j + p) * 25.0 / 64 for j in range(64) for p in phases), z_hi]
     v = [-math.inf, *map(merit, zs[1:-1]), -math.inf]
-    reached = [{oracle._climb(v.__getitem__, j * starts + k + 1)
-                for j in oracle._grid_peaks(v[k + 1:-1:starts])} for k in range(starts)]
+
+    def climb(i):
+        # to a point with v[i-1] < v[i] >= v[i+1], off the two -inf ends
+        while True:
+            if v[i + 1] > v[i]:
+                i += 1
+            elif i > 1 and v[i - 1] >= v[i]:
+                i -= 1
+            else:
+                return i
+
+    reached = [{climb(j * starts + k + 1) for j in oracle._grid_peaks(v[k + 1:-1:starts])}
+               for k in range(starts)]
     refined = {i: oracle._refine(merit, zs, i, 1e-7, rising, 1e-5) for i in set().union(*reached)}
     candidates = [[refined[i] for i in r] + idle for r in reached]
     found = [p for p in (point(max(c)[1]) for c in candidates if c) if p[2] > 0.0 and p[3] > 0.0]
@@ -545,25 +568,6 @@ def _bargain_or_none(search):
         return None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(log_cost=st.floats(-25.0, 25.0), log_ratio=st.floats(0.0, 25.0),
-       first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
-       u1=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
-       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
-def test_non_negative_disagreement_ignores_starts(log_cost, log_ratio, first_costlier, margin,
-                                                  beta, u1, u2):
-    # with d1, d2 >= 0 one search finds the product's one peak: the nested
-    # scan's 4 starts and the final bargain's 8 give the same bargain
-    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
-    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
-    r = (c1 + c2) * margin
-    four, eight = (_bargain_or_none(lambda: nash_product_maximize(
-        r, c1, c2, beta, u1 * r, u2 * r, starts=starts)) for starts in (4, 8))
-    assert repr(four) == repr(eight)
-    if four is not None:
-        assert four.converged and four.multistart_agreement == 0.0
-
-
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(log_cost=st.floats(-25.0, 25.0), log_ratio=st.floats(0.0, 25.0),
        first_costlier=st.booleans(), margin=st.floats(1.05, 100.0), beta=st.floats(0.01, 0.99),
@@ -574,22 +578,73 @@ def test_one_search_matches_the_multistart(log_cost, log_ratio, first_costlier, 
     # The one search raises only where the 4-start search raises (1 of
     # 23,000 such draws found a bargain the 4 starts step over, as in
     # the test below). Where both find a bargain, its log Nash product is
-    # lower by no more than the rounding of evaluating log(F1) + log(F2):
-    # each F_i = s*A - d_i sums terms no larger than
-    # beta*r*log1p(T) + max(c)*T + d1 + d2, so it is off by about eps times
-    # that scale, and log F_i by that over F_i
+    # lower by no more than the rounding of evaluating log(F1) + log(F2)
     c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
     c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
     r = (c1 + c2) * margin
     d1, d2 = u1 * r, u2 * r
     old = _bargain_or_none(lambda: _multistart(r, c1, c2, beta, d1, d2))
-    new = _bargain_or_none(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4))
+    new = _bargain_or_none(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2))
     assert new is not None or old is None
     if new is not None and old is not None:
-        (f1, f2), total = new.surpluses, new.efforts.total
-        scale = beta * r * math.log1p(total) + max(c1, c2) * total + d1 + d2
-        noise = 2.0 ** -52 * scale * (1.0 / f1 + 1.0 / f2)
-        assert math.log(f1) + math.log(f2) >= old[1] - noise
+        assert _log_product(new) >= old[1] - _rounding(new, r, c1, c2, beta, d1, d2)
+
+
+def _log_product(result):
+    return math.log(result.surpluses[0]) + math.log(result.surpluses[1])
+
+
+def _rounding(result, r, c1, c2, beta, d1, d2):
+    # each F_i = s*A - d_i sums terms no larger than
+    # beta*r*log1p(T) + max(c)*T + |d1| + |d2|, so it is off by about eps
+    # times that scale, and log F_i by that over F_i
+    (f1, f2), total = result.surpluses, result.efforts.total
+    scale = beta * r * math.log1p(total) + max(c1, c2) * total + abs(d1) + abs(d2)
+    return 2.0 ** -52 * scale * (1.0 / f1 + 1.0 / f2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(-3.0, 3.0), log_ratio=st.sampled_from([8.0, 25.0]),
+       spread=st.floats(-1.0, 1.0), beta=st.floats(0.02, 0.98), log_margin=st.floats(0.0, 6.0),
+       u1=st.floats(-0.5, 0.1), u2=st.floats(-0.5, 0.1), first_negative=st.booleans())
+def test_grid_search_never_loses_to_the_multistart(log_cost, log_ratio, spread, beta, log_margin,
+                                                   u1, u2, first_negative):
+    # With a negative d_i the search refines every peak of the 4-start
+    # search's shared grid, so it raises only where the 4-start search
+    # raises, and its log Nash product is no lower than the 4- or 8-start
+    # one's, up to rounding. Costs differ by up to e^8 or e^25 and
+    # d_i = u_i*beta*r reaches -0.5*beta*r.
+    c1 = math.exp(log_cost)
+    c2 = c1 * math.exp(spread * log_ratio)
+    r = min(c1, c2) / beta * math.exp(log_margin)
+    if u1 >= 0.0 and u2 >= 0.0:
+        u1, u2 = (-u1, u2) if first_negative else (u1, -u2)
+    d1, d2 = u1 * beta * r, u2 * beta * r
+    new = _bargain_or_none(lambda: nash_product_maximize(r, c1, c2, beta, d1, d2))
+    for starts in (4, 8):
+        old = _bargain_or_none(lambda: _multistart(r, c1, c2, beta, d1, d2, starts=starts))
+        if starts == 4:
+            assert new is not None or old is None
+        if new is not None and old is not None:
+            assert _log_product(new) >= old[1] - _rounding(new, r, c1, c2, beta, d1, d2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_cost=st.floats(math.log(1e-3), math.log(1e3)), log_ratio=st.floats(0.0, math.log(1e100)),
+       first_costlier=st.booleans(), log_margin=st.floats(math.log(1.01), math.log(1e6)),
+       beta=st.floats(0.01, 0.99))
+def test_zero_disagreement_clears_wherever_the_costlier_isp_can_profit(
+        log_cost, log_ratio, first_costlier, log_margin, beta):
+    # with d1 = d2 = 0 any beta*r > max(c1, c2) admits a bargain. The log-T
+    # window ends at beta*r/min(c); past max(c)/min(c) ~ e^25 its bottom lies
+    # above every effort at which the costlier ISP profits, and 17,616 of
+    # 20,000 seeded such draws raised InfeasibleBargainError before the
+    # search restarted the window at log(beta*r/max(c)) - 25
+    c_min, c_max = math.exp(log_cost), math.exp(log_cost + log_ratio)
+    c1, c2 = (c_max, c_min) if first_costlier else (c_min, c_max)
+    r = c_max * math.exp(log_margin) / beta
+    result = nash_product_maximize(r, c1, c2, beta)
+    assert result.surpluses[0] > 0.0 and result.surpluses[1] > 0.0
 
 
 def test_one_search_finds_a_window_narrower_than_a_grid_cell():
@@ -628,7 +683,7 @@ def test_scan_bargain_is_the_four_start_total_on_edge_markets(r, c1, c2, beta, d
     # totals bit for bit; the first one's is 1.0510696684861227e+57. On the
     # last two, min(d1/A + d2/B) is 1 - 7e-12 and 1 - 9e-12: knife edges
     # whose bargain stays feasible
-    total = nash_product_maximize(r, c1, c2, beta, d1, d2, starts=4).efforts.total
+    total = nash_product_maximize(r, c1, c2, beta, d1, d2).efforts.total
     if r < 1e-100:
         assert total == _multistart(r, c1, c2, beta, d1, d2)[0]
 
@@ -694,17 +749,13 @@ class TestSolveAsymmetricCooperative:
         a1, a2 = result.efforts.efforts
         assert abs(a1 - a2) <= 1e-12 * a1
 
-    def test_non_converged_bargain_is_a_named_error(self, monkeypatch):
-        real = oracle.nash_product_maximize
-
-        def split_starts(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), converged=False,
-                                       multistart_agreement=3.5e-3)
-
-        monkeypatch.setattr(oracle, "nash_product_maximize", split_starts)
-        with pytest.raises(BargainNotConvergedError, match="multistart spread 0.0035"):
-            solve_asymmetric_cooperative(
-                10.0, 0.5, 1.0, disagreement=DisagreementPolicy.zero(), beta=0.4)
+    def test_extreme_cost_ratio_admits_a_share(self):
+        # the cheaper ISP's 1e-12 cost put every bargain's log-T window above
+        # the efforts at which the costlier ISP profits: no share cleared
+        outcome, _ = solve_asymmetric_cooperative(100.0, 1e-12, 1.0, DisagreementPolicy.zero())
+        assert outcome.contract.joint_share == 0.2279144380346434
+        outcome, _ = solve_asymmetric_cooperative(100.0, 1e-9, 1.0, DisagreementPolicy.zero())
+        assert outcome.contract.joint_share == 0.2279144380346434
 
     def test_custom_disagreement_passthrough(self):
         _, result = solve_asymmetric_cooperative(
@@ -794,14 +845,14 @@ class TestSolveAsymmetricCooperative:
     ])
     def test_non_negative_disagreement_scans_without_the_multistart(self, monkeypatch, market,
                                                                     policy, raised):
-        # every bargain, scanned at 4 starts or final at 8, is one search
-        # that climbs no multistart grid; the 4-start search agrees that
-        # each share found infeasible is so
+        # every bargain is one search that evaluates no grid, run once per
+        # share, the final one included; the 4-start search agrees that each
+        # share found infeasible is so
         calls, infeasible = [], []
         real = oracle.nash_product_maximize
 
         def counted(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append((args[3], kwargs))
             try:
                 return real(*args, **kwargs)
             except InfeasibleBargainError:
@@ -809,9 +860,10 @@ class TestSolveAsymmetricCooperative:
                 raise
 
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
-        monkeypatch.setattr(oracle, "_climb", None)
+        monkeypatch.setattr(oracle, "_NASH_GRID", None)
         solve_asymmetric_cooperative(*market, policy)
-        assert calls[:-1] == [{"starts": 4}] * (len(calls) - 1) and calls[-1] == {}
+        shares = [beta for beta, kwargs in calls if kwargs == {}]
+        assert len(shares) == len(calls) == len(set(shares))
         assert len(infeasible) == raised
         monkeypatch.undo()
         for args in infeasible:
@@ -827,11 +879,13 @@ class TestSolveAsymmetricCooperative:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "nash_product_maximize", counted)
-        solve_asymmetric_cooperative(10.0, 0.5, 1.0, DisagreementPolicy.custom(-0.5, 0.3))
-        scanned = [beta for beta, kwargs in calls[:-1] if kwargs == {"starts": 4}]
-        assert len(scanned) == len(calls) - 1 == len(set(scanned))
+        outcome, _ = solve_asymmetric_cooperative(10.0, 0.5, 1.0,
+                                                  DisagreementPolicy.custom(-0.5, 0.3))
+        # one bargain per share: the final share's is the one the scan kept
+        scanned = [beta for beta, kwargs in calls if kwargs == {}]
+        assert len(scanned) == len(calls) == len(set(scanned))
         assert {(k + 1) / 42 for k in range(41)} <= set(scanned)
-        assert calls[-1][1] == {}
+        assert outcome.contract.joint_share in scanned
 
     @pytest.mark.parametrize("d1,d2", [(0.0, -0.2), (-0.5, -0.2)])
     def test_negative_disagreement_scores_every_grid_share(self, monkeypatch, d1, d2):
@@ -874,7 +928,7 @@ class TestSolveAsymmetricCooperative:
 def _solve_or_error(*args):
     try:
         return repr(solve_asymmetric_cooperative(*args))
-    except (InfeasibleBargainError, NonFiniteOutcomeError, BargainNotConvergedError) as e:
+    except (InfeasibleBargainError, NonFiniteOutcomeError) as e:
         return f"{type(e).__name__}: {e}"
 
 
@@ -909,7 +963,7 @@ def test_nested_solve_is_stationary_or_a_named_error(c1, c2, margin, zero, u1, u
     policy = DisagreementPolicy.zero() if zero else DisagreementPolicy.custom(u1 * r, u2 * r)
     try:
         outcome, _ = solve_asymmetric_cooperative(r, c1, c2, policy)
-    except (InfeasibleBargainError, BargainNotConvergedError):
+    except InfeasibleBargainError:
         return
     assert outcome.foc_residual <= 1e-9
 
