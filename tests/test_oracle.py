@@ -891,10 +891,12 @@ class TestSolveAsymmetricCooperative:
         solve_asymmetric_cooperative(10.0, 0.5, 1.0, policy)
         assert len(calls) <= 16
 
-    def test_competitive_corner_keeps_the_golden_section(self, monkeypatch):
-        # the best share sits where bargains stop clearing: the slope is
-        # undefined at the rising cell's far end, so golden section refines
-        # the peak as before, to the same share
+    def test_infeasible_cell_end_keeps_the_golden_section(self, monkeypatch):
+        # under competitive disagreement the cell rising towards the grid
+        # peak 19/42 starts at 3/7, which admits no bargain: the slope is
+        # undefined there, so golden section refines the peak as before, to
+        # the same share. The optimum is interior all the same: mpmath puts
+        # it at 0.4357704464084458, 1.35e-8 below this share
         monkeypatch.setattr(oracle, "_illinois", None)
         outcome, _ = solve_asymmetric_cooperative(10.0, 0.5, 1.0)
         assert outcome.contract.joint_share == 0.43577045987943014
@@ -1023,10 +1025,11 @@ def test_nested_solve_is_stationary_or_a_named_error(c1, c2, margin, zero, u1, u
 
 
 # Where the slope search places the share, it is the 40-digit nested optimum
-# to 1e-9. Draws whose share it does not place (a corner: the split clamps,
-# or the best share sits where bargains stop clearing) or that end in a
-# named error are skipped: of the 60 draws, 8 end in a corner and 5 in
-# InfeasibleBargainError
+# to 1e-9. Draws whose share it does not place (an end of the peak's rising
+# cell admits no bargain or clamps the split, or the slope keeps its sign
+# over the cell) or that end in a named error are skipped: of the 60 draws,
+# 8 are not placed, each with both surpluses below 1e-6 (next to shares
+# where bargains stop clearing), and 5 raise InfeasibleBargainError
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(c1=st.floats(0.05, 5.0), c2=st.floats(0.05, 5.0), margin=st.floats(1.3, 100.0),
        zero=st.booleans(), u1=st.floats(0.0, 0.2), u2=st.floats(0.0, 0.2))
