@@ -878,8 +878,7 @@ class TestSolveAsymmetricCooperative:
                                         DisagreementPolicy.custom(0.2, 0.3)])
     def test_slope_search_places_the_share_in_few_bargains(self, monkeypatch, policy):
         # about 9 grid shares find the peak and about 5 more place the share
-        # by its slope's sign; golden section over the peak's two cells
-        # took about 26 more
+        # by its slope's sign
         calls = []
         real = oracle.nash_product_maximize
 
