@@ -2,15 +2,16 @@
 
 Nothing here evaluates Lambert W or any W-based formula. Follower problems
 are solved by the sign of the payoff's slope, walked in float steps from
-the stationary point or bisected. Leader problems, the bargaining stage
-over log total effort (with the split at each total in closed form) and
-the nested cooperative game's share stage are grid searches with one peak
-rule and one refine step: golden section at every grid peak, then, for
-the first two, a slope-sign bisection. With non-negative disagreement a
-bargain's product has one peak, which one golden section and bisection
-find without a grid, and the share stage bisects the sign of its grid's
-slope for its one peak instead of scoring every share, then places the
-share by regula falsi on the analytic slope of the CP's value, golden
+the stationary point or bisected. So is the bargaining stage over log
+total effort (with the split at each total in closed form): every grid
+cell where the Nash product's slope turns from rising to falling is
+bisected, and with non-negative disagreement that grid is the window's
+two ends. Leader problems and the nested cooperative game's share stage
+are grid searches with one peak rule and one refine step: golden section
+at every grid peak, then, for leader problems, a slope-sign bisection.
+With non-negative disagreement the share stage bisects the sign of its
+grid's slope for its one peak instead of scoring every share, then places
+the share by regula falsi on the analytic slope of the CP's value, golden
 section only where that slope does not bracket a root. When these and the
 closed forms disagree, the numbers computed here are authoritative.
 """
@@ -47,7 +48,6 @@ _WALK_STEPS = 8
 # Leader grid on [0, 1] and its golden-section stop.
 _LEADER_GRID = 65
 _REFINE_TOL = 1e-10
-_PENALTY = 1e6
 # Points over the 25 units of log total effort where a negative d_i can give
 # the Nash product two peaks.
 _NASH_GRID = 256
@@ -257,11 +257,12 @@ def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
 def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
     """Check one bargain's inputs and set up its search over log total effort.
 
-    Returns (z_lo, z_hi, point, merit, rising): the log-T window
+    Returns (z_lo, z_hi, point, rising): the log-T window
     [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2); ``point(z)``, the
-    total, the best split s and both surpluses at T = exp(z); ``merit(z)``,
-    the log Nash product there, or min(F1, F2) - 1e6 where a surplus is not
-    positive; and ``rising(z)``, whether the product still increases.
+    total, the best split s and both surpluses at T = exp(z); and
+    ``rising(z)``, whether the Nash product still increases there or,
+    where no bargain clears, whether h = d1/A + d2/B still falls while
+    both margins A, B are positive.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"joint share must lie in (0, 1), got {beta!r}")
@@ -289,22 +290,9 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         s = min(s, 1.0) if s > 0.0 else 0.0
         return t, s, s * a - d1, (1.0 - s) * b - d2
 
-    def merit(z):
-        # point() inlined: this is the search's inner loop
-        t = math.exp(z)
-        g = br * math.log1p(t)
-        a, b = g - c1 * t, g - c2 * t
-        s = (0.5 * (1.0 - d2 / b + d1 / a) if a > 0.0 and b > 0.0 or a < 0.0 and b < 0.0
-             else float(a > b))
-        s = min(s, 1.0) if s > 0.0 else 0.0
-        f1, f2 = s * a - d1, (1.0 - s) * b - d2
-        if f1 > 0.0 and f2 > 0.0:
-            return math.log(f1) + math.log(f2)
-        return (f2 if f2 < f1 or f2 != f2 else f1) - _PENALTY  # min(f1, f2), NaN included
-
     def rising(z):
         # envelope theorem: at the best split the T-slope holds s fixed;
-        # point() inlined, as in merit: the slope polish calls this ~40 times
+        # point() inlined: this is the search's inner loop, ~60 calls a bargain
         t = math.exp(z)
         g = br * math.log1p(t)
         a, b = g - c1 * t, g - c2 * t
@@ -313,9 +301,14 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         s = min(s, 1.0) if s > 0.0 else 0.0
         f1, f2 = s * a - d1, (1.0 - s) * b - d2
         rate = br / (1.0 + t)
-        return f1 > 0.0 and f2 > 0.0 and s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
+        if f1 > 0.0 and f2 > 0.0:
+            return s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
+        # no bargain: whether -h' = d1*A'/A^2 + d2*B'/B^2 > 0, each term
+        # divided by its margin twice, since d1*(rate - c1)/a/a underflows
+        # where the margins are below about 1e-154
+        return a > 0.0 and b > 0.0 and d1 / a * (rate - c1) / a + d2 / b * (rate - c2) / b > 0.0
 
-    return z_lo, z_hi, point, merit, rising
+    return z_lo, z_hi, point, rising
 
 
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
@@ -328,22 +321,21 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. The search
     runs over log T in [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2).
 
-    With d1, d2 >= 0 no bargain clears above the effort T0 at which the
-    costlier ISP's margin beta*r*log1p(T) - max(c1, c2)*T turns negative
-    (the product is a flat penalty there), and below T0 the product has
-    one peak in log T. One search finds it: golden section over
-    [log(hi) - 25, log T0], T0 bisected from the margin's sign, then a
-    bisection of the analytic slope's sign within 1e-5 of that point and
-    at least 1e-5 inside the window. Where the costlier ISP loses money
-    over the whole window (max(c)/min(c) above about e^25) but
-    beta*r > max(c1, c2), the window starts at log(beta*r/max(c)) - 25.
+    The one search is the sign of the product's slope, which ``rising``
+    extends to points where no bargain clears. It is read on a grid, every
+    cell where it turns from rising to falling is bisected to adjacent
+    floats, the window's bottom joins them where the slope falls there and
+    its top where it still rises, and so do the points where one ISP idles
+    while the other's margin peaks (a negative d_i pays ISP i to idle).
+    The best feasible point wins.
 
-    A negative d_i can make the product bimodal. Then a uniform grid of
-    _NASH_GRID points over the window is evaluated, every grid peak is
-    refined by golden section over its two neighbouring cells (a penalty
-    outside positive surpluses leads into a narrow feasible window) and
-    the same slope bisection, and the points where one ISP idles while the
-    other's margin peaks join them; the best feasible point wins.
+    With d1, d2 >= 0 the grid is the window's two ends: h = d1/A + d2/B is
+    convex where both margins are positive, so the extended sign turns
+    once, from rising to falling, and one bisection finds the product's one
+    peak. Where the costlier ISP loses money over the whole window
+    (max(c)/min(c) above about e^25) but beta*r > max(c1, c2), the window
+    starts at log(beta*r/max(c)) - 25. A negative d_i can make the product
+    bimodal; then the grid adds _NASH_GRID uniform points inside the window.
 
     ``converged`` is True and ``multistart_agreement`` 0 by construction.
 
@@ -352,31 +344,21 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     InfeasibleBargainError
         If no search finds a point with both surpluses positive.
     """
-    z_lo, z_hi, point, merit, rising = _bargain(r, c1, c2, beta, d1, d2)
+    z_lo, z_hi, point, rising = _bargain(r, c1, c2, beta, d1, d2)
     br = beta * r
-
     if d1 >= 0.0 and d2 >= 0.0:
-        c_max = max(c1, c2)
-
-        def profits(z):
-            t = math.exp(z)
-            return br * math.log1p(t) > c_max * t
-
-        if not profits(z_lo) and br > c_max:
+        c_max, t = max(c1, c2), math.exp(z_lo)
+        if br * math.log1p(t) <= c_max * t and br > c_max:
             z_lo = math.log(br / c_max) - 25.0
-        ends = []
-        if profits(z_lo):
-            z = golden_section_max(merit, z_lo, _slope_polish(profits, z_hi, z_lo, z_hi), tol=1e-7)
-            # _refine's polish, within h = 1e-5 and at least h inside the window
-            ends = [_slope_polish(rising, z, max(z - 1e-5, z_lo + 1e-5),
-                                  min(z + 1e-5, z_hi - 1e-5))]
+        zs = [z_lo, z_hi]
     else:
         zs = [z_lo, *(z_lo + (i + 0.5) * 25.0 / _NASH_GRID for i in range(_NASH_GRID)), z_hi]
-        vals = [merit(z) for z in zs[1:-1]]
-        ends = [_refine(merit, zs, j + 1, 1e-7, rising, 1e-5)[1] for j in _grid_peaks(vals)]
-        # a negative d_i pays ISP i to idle: a peak where the other's margin peaks
-        ends += [max(math.log(br / c - 1.0), z_lo) for d, c in ((d1, c2), (d2, c1))
-                 if d < 0.0 and br > c]
+    up = [rising(z) for z in zs]
+    ends = [_slope_polish(rising, lo, lo, hi)
+            for lo, hi, u, v in zip(zs, zs[1:], up, up[1:]) if u and not v]
+    ends += [z for z, end in ((z_lo, not up[0]), (z_hi, up[-1])) if end]
+    ends += [max(math.log(br / c - 1.0), z_lo) for d, c in ((d1, c2), (d2, c1))
+             if d < 0.0 and br > c]
     found = [p for p in map(point, ends) if p[2] > 0.0 and p[3] > 0.0]
     if not found:
         raise InfeasibleBargainError(

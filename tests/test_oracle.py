@@ -362,19 +362,11 @@ class TestNashProductMaximize:
         (0.0, 0.0, 3.874508161775093),
         (-0.5, -0.3, 3.8849712028319505),
     ])
-    def test_starts_share_one_refinement_per_peak(self, monkeypatch, d1, d2, total):
-        # one golden section: the one search where d1, d2 >= 0, and the
-        # grid's one peak, refined once, where a d_i is negative
-        calls = []
-        real = oracle.golden_section_max
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "golden_section_max", counted)
+    def test_no_golden_section(self, monkeypatch, d1, d2, total):
+        # the sign of the product's slope is the only search, with one grid
+        # cell where d1, d2 >= 0 and _NASH_GRID + 1 where a d_i is negative
+        monkeypatch.setattr(oracle, "golden_section_max", None)
         result = nash_product_maximize(10.0, 0.5, 1.0, 0.4, d1, d2)
-        assert len(calls) == 1
         assert result.converged
         assert result.efforts.total == pytest.approx(total, rel=1e-12)
 
@@ -532,8 +524,17 @@ def _multistart(r, c1, c2, beta, d1, d2, starts=4):
     # climbs from each of its own points' peaks, uphill on the shared grid,
     # to a shared-grid peak that is refined once. Returns the total effort
     # and log Nash product of its bargain, or raises InfeasibleBargainError
-    z_lo, z_hi, point, merit, rising = oracle._bargain(r, c1, c2, beta, d1, d2)
+    z_lo, z_hi, point, rising = oracle._bargain(r, c1, c2, beta, d1, d2)
     br = beta * r
+
+    def merit(z):
+        # the log Nash product, or min(F1, F2) - 1e6 where a surplus is not
+        # positive (a NaN surplus included)
+        _, _, f1, f2 = point(z)
+        if f1 > 0.0 and f2 > 0.0:
+            return math.log(f1) + math.log(f2)
+        return (f2 if f2 < f1 or f2 != f2 else f1) - 1e6
+
     idle = [(merit(z), z) for d, c in ((d1, c2), (d2, c1)) if d < 0.0 and br > c
             for z in (max(math.log(br / c - 1.0), z_lo),)]
     phases = [(k + 0.5) / starts for k in range(starts)]
@@ -645,6 +646,51 @@ def test_zero_disagreement_clears_wherever_the_costlier_isp_can_profit(
     r = c_max * math.exp(log_margin) / beta
     result = nash_product_maximize(r, c1, c2, beta)
     assert result.surpluses[0] > 0.0 and result.surpluses[1] > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_c1=st.floats(-7.0, 7.0), log_c2=st.floats(-7.0, 7.0), log_margin=st.floats(0.0, 12.0),
+       beta=st.floats(0.02, 0.98), u1=st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+       u2=st.one_of(st.just(0.0), st.floats(0.0, 0.1)))
+def test_slope_sign_turns_once_without_negative_disagreement(log_c1, log_c2, log_margin, beta,
+                                                             u1, u2):
+    # With d1, d2 >= 0, h = d1/A + d2/B is convex where both margins are
+    # positive, so the sign the bargain bisects turns at most once over the
+    # log-T window, and only from rising to falling
+    c1, c2 = math.exp(log_c1), math.exp(log_c2)
+    r = (c1 + c2) * math.exp(log_margin)
+    z_lo, z_hi, _, rising = oracle._bargain(r, c1, c2, beta, u1 * r, u2 * r)
+    signs = [rising(z_lo + k * (z_hi - z_lo) / 2000) for k in range(2001)]
+    assert signs == sorted(signs, reverse=True)
+
+
+def _mp_log_nash_product(r, c1, c2, beta, d1, d2, total):
+    # The bargain's maximum log Nash product at 40 digits: with d1, d2 >= 0
+    # a feasible split is interior, so it is log(A*B*(1 - h)^2/4) at the
+    # root of its T-slope A'/A + B'/B - 2h'/(1 - h), found from the solver's T
+    with mpmath.workdps(40):
+        r, c1, c2, beta, d1, d2 = map(mpmath.mpf, (r, c1, c2, beta, d1, d2))
+
+        def log_product(t):
+            g = beta * r * mpmath.log1p(t)
+            a, b = g - c1 * t, g - c2 * t
+            return mpmath.log(a * b * (1 - d1 / a - d2 / b) ** 2 / 4)
+
+        t = mpmath.findroot(lambda x: mpmath.diff(log_product, x), mpmath.mpf(total))
+        return float(log_product(t))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bargain_is_the_mpmath_maximum(seed):
+    # beta*r above max(c1, c2), where a zero-disagreement bargain clears
+    rng = np.random.default_rng(seed)
+    c1, c2 = np.exp(rng.uniform(-3.0, 3.0, 2))
+    beta = rng.uniform(0.2, 0.8)
+    r = max(c1, c2) * math.exp(rng.uniform(0.5, 5.0)) / beta
+    d1, d2 = (0.0, 0.0) if seed == 0 else rng.uniform(0.0, 0.05, 2) * beta * r
+    result = nash_product_maximize(r, c1, c2, beta, d1, d2)
+    want = _mp_log_nash_product(r, c1, c2, beta, d1, d2, result.efforts.total)
+    assert _log_product(result) == pytest.approx(want, rel=1e-12)
 
 
 def test_one_search_finds_a_window_narrower_than_a_grid_cell():
