@@ -16,7 +16,9 @@ writes a plot file, so ``test_cli.py``'s plot test pins it, stdout and SVG.
 The ``*-default-scenario`` rows leave out the one scenario ``nbs`` and
 ``shapley`` take and must print their README example's golden. The
 ``*-custom-negative`` rows pin the nested bargain where a negative
-disagreement utility can give the Nash product two peaks.
+disagreement utility can give the Nash product two peaks, and the
+``nbs-regulated-cooperative-custom`` row pins it with positive custom
+disagreement utilities.
 """
 import re
 from pathlib import Path
@@ -83,6 +85,8 @@ EXAMPLES = {
         0, "sweep --scenario n-scaling --r 10 --c 0.5 --n 3 --sweep r:1:20:4"),
     "shapley-default-scenario": (0, "shapley --r 10 --c 0.5,1.0 --branch isp1"),
     "nbs-default-scenario": (0, "nbs --r 10 --c 0.5,1.0 --disagreement zero"),
+    "nbs-regulated-cooperative-custom": (
+        0, "nbs --scenario regulated-cooperative --r 10 --c 0.5,1.0 --disagreement=0.2,0.3"),
     "nbs-regulated-cooperative-custom-negative": (
         0, "nbs --scenario regulated-cooperative --r 10 --c 0.5,1.0 --disagreement=-0.5,0.3"),
     "compare-coop-comp-custom-negative": (
