@@ -2,18 +2,20 @@
 
 Nothing here evaluates Lambert W or any W-based formula. Follower problems
 are solved by the sign of the payoff's slope, walked in float steps from
-the stationary point or bisected. So is the bargaining stage over log
-total effort (with the split at each total in closed form): every grid
-cell where the Nash product's slope turns from rising to falling is
-bisected, and with non-negative disagreement that grid is the window's
-two ends. Leader problems and the nested cooperative game's share stage
-are grid searches with one peak rule and one refine step: golden section
-at every grid peak, then, for leader problems, a slope-sign bisection.
-With non-negative disagreement the share stage bisects the sign of its
-grid's slope for its one peak instead of scoring every share, then places
-the share by regula falsi on the analytic slope of the CP's value, golden
-section only where that slope does not bracket a root. When these and the
-closed forms disagree, the numbers computed here are authoritative.
+the stationary point or bisected. The bargaining stage searches log total
+effort by the Nash product's slope (with the split at each total in closed
+form): every grid cell where it turns from rising to falling is bisected
+by its sign to 0.05 wide, closed by regula falsi on its value, and
+bisected by its sign again to adjacent floats; with non-negative
+disagreement that grid is the window's two ends. Leader problems and the
+nested cooperative game's share stage are grid searches with one peak rule
+and one refine step: golden section at every grid peak, then, for leader
+problems, a slope-sign bisection. With non-negative disagreement the share
+stage bisects the sign of its grid's slope for its one peak instead of
+scoring every share, then places the share by regula falsi on the analytic
+slope of the CP's value, golden section only where that slope does not
+bracket a root. When these and the closed forms disagree, the numbers
+computed here are authoritative.
 """
 from __future__ import annotations
 
@@ -200,14 +202,15 @@ def _refine(f: Callable[[float], float], xs: list[float], j: int, tol: float,
 
 
 def _illinois(f: Callable[[float], float | None], lo: float, hi: float, f_lo: float,
-              f_hi: float, tol: float) -> float | None:
+              f_hi: float, tol: float) -> tuple[float, float, float] | None:
     """Root of a slope that falls from f_lo > 0 at lo to f_hi <= 0 at hi.
 
     Illinois regula falsi: the end kept twice in a row has its value
     halved, so both ends close in. A point outside (lo, hi) bisects
-    instead. Returns the last point evaluated once the bracket is narrower
-    than tol or a secant step over it would move that point less than tol;
-    returns None where f(x) is None.
+    instead. Stops once the bracket is narrower than tol or a secant step
+    over it would move the last point evaluated less than tol. Returns
+    that point x and the bracket [lo, hi] it leaves, f(lo) > 0 >= f(hi)
+    still; returns None where f(x) is None.
     """
     x, side = lo, 0
     while hi - lo > tol:
@@ -217,8 +220,7 @@ def _illinois(f: Callable[[float], float | None], lo: float, hi: float, f_lo: fl
         fx = f(x)
         if fx is None:
             return None
-        if abs(fx) * (hi - lo) <= tol * (f_lo - f_hi):
-            break
+        done = abs(fx) * (hi - lo) <= tol * (f_lo - f_hi)
         if fx > 0.0:
             lo, f_lo = x, fx
             f_hi *= 0.5 if side > 0 else 1.0
@@ -227,7 +229,9 @@ def _illinois(f: Callable[[float], float | None], lo: float, hi: float, f_lo: fl
             hi, f_hi = x, fx
             f_lo *= 0.5 if side < 0 else 1.0
             side = -1
-    return x
+        if done:
+            break
+    return x, lo, hi
 
 
 def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
@@ -257,12 +261,15 @@ def leader_optimum(objective: Callable[[float], float]) -> tuple[float, float]:
 def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
     """Check one bargain's inputs and set up its search over log total effort.
 
-    Returns (z_lo, z_hi, point, rising): the log-T window
+    Returns (z_lo, z_hi, point, slope): the log-T window
     [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2); ``point(z)``, the
     total, the best split s and both surpluses at T = exp(z); and
-    ``rising(z)``, whether the Nash product still increases there or,
-    where no bargain clears, whether h = d1/A + d2/B still falls while
-    both margins A, B are positive.
+    ``slope(z)``, positive where the Nash product still increases there.
+    Where both surpluses are positive it is the log product's derivative
+    in T; where no bargain clears but both margins A, B are positive, it is
+    -dh/dT for h = d1/A + d2/B, whose sign is the product's as h crosses 1
+    and which keeps the value continuous there for regula falsi; elsewhere
+    it is minus infinity.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"joint share must lie in (0, 1), got {beta!r}")
@@ -290,9 +297,9 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         s = min(s, 1.0) if s > 0.0 else 0.0
         return t, s, s * a - d1, (1.0 - s) * b - d2
 
-    def rising(z):
+    def slope(z):
         # envelope theorem: at the best split the T-slope holds s fixed;
-        # point() inlined: this is the search's inner loop, ~60 calls a bargain
+        # point() inlined: this is the search's inner loop, ~27 calls a bargain
         t = math.exp(z)
         g = br * math.log1p(t)
         a, b = g - c1 * t, g - c2 * t
@@ -302,13 +309,41 @@ def _bargain(r: float, c1: float, c2: float, beta: float, d1: float, d2: float):
         f1, f2 = s * a - d1, (1.0 - s) * b - d2
         rate = br / (1.0 + t)
         if f1 > 0.0 and f2 > 0.0:
-            return s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2 > 0.0
-        # no bargain: whether -h' = d1*A'/A^2 + d2*B'/B^2 > 0, each term
-        # divided by its margin twice, since d1*(rate - c1)/a/a underflows
-        # where the margins are below about 1e-154
-        return a > 0.0 and b > 0.0 and d1 / a * (rate - c1) / a + d2 / b * (rate - c2) / b > 0.0
+            return s * (rate - c1) / f1 + (1.0 - s) * (rate - c2) / f2
+        if a > 0.0 and b > 0.0:
+            # -h' = d1*A'/A^2 + d2*B'/B^2, each term divided by its margin
+            # twice, since d1*(rate - c1)/a/a underflows where the margins
+            # are below about 1e-154
+            return d1 / a * (rate - c1) / a + d2 / b * (rate - c2) / b
+        return -math.inf
 
-    return z_lo, z_hi, point, rising
+    return z_lo, z_hi, point, slope
+
+
+def _slope_root(slope: Callable[[float], float], lo: float, hi: float, f_lo: float,
+                f_hi: float) -> float:
+    """Where slope turns from f_lo > 0 at lo to f_hi, not positive, at hi,
+    to adjacent floats.
+
+    Over the log-T window the slope is far from linear, so its sign is
+    bisected first, until the cell is at most 0.05 wide and both ends'
+    values are finite. Illinois regula falsi on its value then closes the
+    cell to about 1e-13*(1 + |z|), and ``_slope_polish`` bisects the sign
+    in what is left, so the result is an adjacent pair's midpoint, as a
+    bisection of the whole cell ends on one.
+    """
+    while ((hi - lo > 0.05 or not -math.inf < f_lo - f_hi < math.inf)
+           and lo < (z := 0.5 * lo + 0.5 * hi) < hi):
+        f = slope(z)
+        lo, f_lo, hi, f_hi = (z, f, hi, f_hi) if f > 0.0 else (lo, f_lo, z, f)
+    tol = 1e-13 * (1.0 + abs(lo))
+    x, lo, hi = _illinois(slope, lo, hi, f_lo, f_hi, tol)
+    # a last secant step shorter than tol leaves x next to the root and the
+    # far end where it was: a point tol past x usually closes the bracket
+    y = x + tol if x == lo else x - tol
+    if lo < y < hi:
+        lo, hi = (y, hi) if slope(y) > 0.0 else (lo, y)
+    return _slope_polish(lambda z: slope(z) > 0.0, lo, lo, hi)
 
 
 def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
@@ -321,17 +356,18 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     equal-surplus s* = (1 - d2/B + d1/A)/2 clamped to [0, 1]. The search
     runs over log T in [log(hi) - 25, log(hi)], hi = beta*r/min(c1, c2).
 
-    The one search is the sign of the product's slope, which ``rising``
-    extends to points where no bargain clears. It is read on a grid, every
-    cell where it turns from rising to falling is bisected to adjacent
-    floats, the window's bottom joins them where the slope falls there and
-    its top where it still rises, and so do the points where one ISP idles
-    while the other's margin peaks (a negative d_i pays ISP i to idle).
-    The best feasible point wins.
+    The one search is the product's slope, which ``slope`` extends to
+    points where no bargain clears. Its sign is read on a grid, and every
+    cell where it turns from rising to falling is closed by ``_slope_root``
+    (sign bisection, then regula falsi on its value, then the sign again)
+    to adjacent floats. The window's bottom joins those points where the
+    slope falls there and its top where it still rises, and so do the
+    points where one ISP idles while the other's margin peaks (a negative
+    d_i pays ISP i to idle). The best feasible point wins.
 
     With d1, d2 >= 0 the grid is the window's two ends: h = d1/A + d2/B is
     convex where both margins are positive, so the extended sign turns
-    once, from rising to falling, and one bisection finds the product's one
+    once, from rising to falling, and one cell holds the product's one
     peak. Where the costlier ISP loses money over the whole window
     (max(c)/min(c) above about e^25) but beta*r > max(c1, c2), the window
     starts at log(beta*r/max(c)) - 25. A negative d_i can make the product
@@ -344,7 +380,7 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
     InfeasibleBargainError
         If no search finds a point with both surpluses positive.
     """
-    z_lo, z_hi, point, rising = _bargain(r, c1, c2, beta, d1, d2)
+    z_lo, z_hi, point, slope = _bargain(r, c1, c2, beta, d1, d2)
     br = beta * r
     if d1 >= 0.0 and d2 >= 0.0:
         c_max, t = max(c1, c2), math.exp(z_lo)
@@ -353,10 +389,10 @@ def nash_product_maximize(r: float, c1: float, c2: float, beta: float,
         zs = [z_lo, z_hi]
     else:
         zs = [z_lo, *(z_lo + (i + 0.5) * 25.0 / _NASH_GRID for i in range(_NASH_GRID)), z_hi]
-    up = [rising(z) for z in zs]
-    ends = [_slope_polish(rising, lo, lo, hi)
-            for lo, hi, u, v in zip(zs, zs[1:], up, up[1:]) if u and not v]
-    ends += [z for z, end in ((z_lo, not up[0]), (z_hi, up[-1])) if end]
+    fs = [slope(z) for z in zs]
+    ends = [_slope_root(slope, lo, hi, f_lo, f_hi)
+            for lo, hi, f_lo, f_hi in zip(zs, zs[1:], fs, fs[1:]) if f_lo > 0.0 and not f_hi > 0.0]
+    ends += [z for z, end in ((z_lo, not fs[0] > 0.0), (z_hi, fs[-1] > 0.0)) if end]
     ends += [max(math.log(br / c - 1.0), z_lo) for d, c in ((d1, c2), (d2, c1))
              if d < 0.0 and br > c]
     found = [p for p in map(point, ends) if p[2] > 0.0 and p[3] > 0.0]
@@ -514,13 +550,15 @@ def solve_asymmetric_cooperative(
 
     def refine(j: int) -> tuple[float, float]:
         # the root of the CP value's slope in the cell rising towards peak j
-        b = None
+        placed = None
         if unimodal and 0 < j < len(grid) - 1 and (m := cp_slope(grid[j])) is not None:
             lo, hi = (grid[j], grid[j + 1]) if m > 0.0 else (grid[j - 1], grid[j])
             f_lo, f_hi = (m, cp_slope(hi)) if m > 0.0 else (cp_slope(lo), m)
             if f_lo is not None and f_hi is not None and f_lo > 0.0 >= f_hi:
-                b = _illinois(cp_slope, lo, hi, f_lo, f_hi, 1e-12)
-        return _refine(cp_value, grid, j, 1e-6) if b is None else (cp_value(b), b)
+                placed = _illinois(cp_slope, lo, hi, f_lo, f_hi, 1e-12)
+        if placed is None:
+            return _refine(cp_value, grid, j, 1e-6)
+        return cp_value(placed[0]), placed[0]
 
     if beta is None:
         grid = [(k + 1) / (_NESTED_GRID + 1) for k in range(_NESTED_GRID)]
