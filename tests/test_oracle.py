@@ -757,9 +757,10 @@ def test_regula_falsi_keeps_the_bisected_bargain(log_c1, log_c2, log_margin, bet
 
 
 def test_regula_falsi_closes_a_bargain_in_few_slope_evaluations(monkeypatch):
-    # The whole-window bisection took about 62 slope evaluations a bargain;
-    # sign bisection to 0.05, regula falsi and the final polish take about
-    # 28. A share that admits no bargain costs no more than one that does
+    # Bisecting the sign over the whole window takes about 62 slope
+    # evaluations a bargain; sign bisection to 0.05, regula falsi and the
+    # final polish take about 28. A share that admits no bargain costs no
+    # more than one that does
     counted, real = [], oracle._bargain
 
     def bargain(*args):
@@ -780,10 +781,10 @@ def test_regula_falsi_closes_a_bargain_in_few_slope_evaluations(monkeypatch):
         evaluations = [n for _, n in counted[start:]]
         assert sum(evaluations) <= 35 * len(evaluations)
     monkeypatch.undo()
-    feasible = [n for args, n in counted
-                if _bargain_or_none(lambda: nash_product_maximize(*args)) is not None]
-    infeasible = [n for args, n in counted
-                  if _bargain_or_none(lambda: nash_product_maximize(*args)) is None]
+    cost = {True: [], False: []}  # by whether the share's bargain clears
+    for args, n in counted:
+        cost[_bargain_or_none(lambda: nash_product_maximize(*args)) is not None].append(n)
+    feasible, infeasible = cost[True], cost[False]
     assert infeasible and sum(infeasible) / len(infeasible) <= sum(feasible) / len(feasible)
 
 
